@@ -23,6 +23,6 @@ from .instance import (CONTINUOUS_LINE, Clustering, Instance, gen_broom_tree,
                        load_matrix_csv, load_points_csv, load_tree_edges,
                        save_clustering, save_instance)
 from .metric import (Space, TreeGraph, apsp, close, cross_distances, distance,
-                     distance_to_set, tol_gt, validate_metric)
+                     distance_to_set, validate_metric)
 
 __version__ = "0.1.0"

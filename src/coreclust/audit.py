@@ -12,12 +12,46 @@ The audit engine answers three questions, each with a concrete witness:
 * is_in_core    -- yes/no membership at a fixed (alpha, beta).
 
 For a fixed deviation y' and coalition size s, the best coalition under a
-multiplier c is simply the s largest values of d(i,Y) - c*d(i,y'), so the
-ratio maximization is solved by Dinkelbach iteration: start from the top-s
-by d(i,Y), then repeatedly re-select the top-s under the current ratio until
+multiplier c is simply the s largest gains d(i,Y) - c*d(i,y'), so the ratio
+maximization is solved by Dinkelbach iteration: start from the top-s by
+d(i,Y), then repeatedly re-select the top-s under the current ratio until
 no size-s set beats it.  Each step strictly increases the ratio and there
 are finitely many subsets, so the loop terminates (in practice within a few
 rounds).
+
+Prune, then solve.  Both searches over deviations first drop, with
+vectorized passes over 256-deviation blocks, the deviations that provably
+cannot win, and then run the exact per-deviation code on the survivors in
+index order:
+
+* min_beta runs Dinkelbach rounds on all deviations at once.  The
+  multiplier c is always the value the per-deviation Dinkelbach code
+  returns for some surviving deviation: first for the deviation with the
+  best start ratio, then for the survivor with the best top-s ratio at the
+  previous c.  A deviation whose best size-s surplus
+  sum(d(i,Y) - c*d(i,y')) is negative beyond the tolerance has every ratio
+  below c, so it is dropped.  The rounds stop when c no longer rises.
+* max_blocking_size starts at L = ceil(n/k), since shorter coalitions
+  never count.  Prefix sums of gains sorted in descending order are
+  concave and start at zero, so a deviation whose top-L gain sum is
+  negative beyond the tolerance blocks at no length >= L.  Those are
+  dropped; L then rises to the exact length of the survivor with the
+  largest top-L sum, until it no longer rises or the survivors hold at
+  most 256*256 distances.
+
+Why the answers are those of a scan over every deviation: a dropped
+deviation's value is below a value that a survivor returns (min_beta), or
+below a length that a survivor reaches (max_blocking_size), so it is never
+the maximum.  The survivors are solved by the same code, in the same index
+order, with the same strict comparison.  So values and witnesses, ties
+included (the lowest index wins), are unchanged.  Pruning is skipped when
+some deviation has a coalition at zero distance, so the inf and 0 answers
+of min_beta keep their handling.
+
+Distances to the deviations are held deviation-major (one contiguous row
+per deviation), and used candidates are found by screening the first few
+agents before comparing whole profiles.  Every step works on blocks of at
+most 256 rows, which bounds peak memory.
 
 Deviations on the continuous line are restricted to unoccupied agent
 coordinates: for any fixed S the total |x_i - y| is minimized at a median
@@ -33,7 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +75,18 @@ from .errors import ParameterError, SizeLimitError, ValidationError
 from .instance import Clustering, Instance
 from .metric import TOL, PointRef, cross_distances
 
-_CHUNK = 256  # deviation columns processed per block, bounds peak memory
+_CHUNK = 256  # table rows processed per block, bounds peak memory
+_PROBE_ROWS = 8  # agent rows screened before a full used-candidate check
+
+
+def _tol(a, b):
+    """The shared 1e-9 tolerance, scaled elementwise by the larger magnitude."""
+    return TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _same(a, b):
+    """Elementwise: a and b agree within the scaled tolerance."""
+    return np.abs(a - b) <= _tol(a, b)
 
 
 @dataclass
@@ -117,7 +162,11 @@ class AuditResult:
 # ---------------------------------------------------------------------------
 
 class _AuditContext:
-    """Distances from every agent to the clustering and to every deviation."""
+    """Distances from every agent to the clustering and to every deviation.
+
+    DT is deviation-major: row j holds d(i, y'_j) for every agent i, so the
+    per-deviation scans below read contiguous rows.
+    """
 
     def __init__(self, inst: Instance, clustering: Clustering):
         if len(clustering.centers) != inst.k:
@@ -130,28 +179,39 @@ class _AuditContext:
         self.dY = d_to_centers.min(axis=1)
         if inst.continuous_candidates:
             coords = sorted({float(a) for a in inst.agents})
+            x = np.asarray(coords)
             centers = np.asarray([float(c) for c in self.centers])
-            devs = [c for c in coords
-                    if np.abs(centers - c).min() > TOL * max(1.0, abs(c))]
+            free = np.abs(x[:, None] - centers).min(axis=1) > TOL * np.maximum(1.0, np.abs(x))
+            devs = [c for c, f in zip(coords, free) if f]
             self.devs: List[PointRef] = devs
-            self.D = cross_distances(inst.space, inst.agents, devs) if devs else \
-                np.zeros((n, 0))
+            self.DT = cross_distances(inst.space, inst.agents, devs).T.copy() \
+                if devs else np.zeros((0, n))
         else:
             cands = list(inst.candidates)
-            Dall = cross_distances(inst.space, inst.agents, cands)
+            DT = cross_distances(inst.space, inst.agents, cands).T.copy()
+            CT = d_to_centers.T.copy()
+            # A candidate is used when its profile matches a center's on
+            # every agent.  Matching on the first few agents is necessary,
+            # so test those for every (candidate, center) pair and confirm
+            # only the pairs that pass on whole profiles.  Both steps go in
+            # blocks of at most _CHUNK*len(cands) and 2*_CHUNK*n elements:
+            # on a clique nearly every pair passes the probe.
             used = np.zeros(len(cands), dtype=bool)
-            for col in range(d_to_centers.shape[1]):
-                prof = d_to_centers[:, col][:, None]
-                scale = np.maximum(1.0, np.maximum(np.abs(Dall), np.abs(prof)))
-                same = (np.abs(Dall - prof) <= TOL * scale).all(axis=0)
-                used |= same
-            keep = ~used
-            self.devs = [c for c, k_ in zip(cands, keep) if k_]
-            self.D = Dall[:, keep]
+            r = min(n, _PROBE_ROWS)
+            per = _CHUNK // r
+            for lo in range(0, len(CT), per):
+                jj, cc = np.nonzero(
+                    _same(DT[:, None, :r], CT[None, lo:lo + per, :r]).all(axis=2))
+                for at in range(0, jj.size, _CHUNK):
+                    j = jj[at:at + _CHUNK]
+                    c = cc[at:at + _CHUNK] + lo
+                    used[j[_same(DT[j], CT[c]).all(axis=1)]] = True
+            self.devs = [c for c, u in zip(cands, used) if not u]
+            self.DT = DT[~used] if used.any() else DT
         self.m = len(self.devs)
         hi = 1.0
-        if self.D.size:
-            hi = max(hi, float(self.D.max()))
+        if self.DT.size:
+            hi = max(hi, float(self.DT.max()))
         if self.dY.size:
             hi = max(hi, float(self.dY.max()))
         self.zero_tol = TOL * hi
@@ -167,14 +227,23 @@ def deviation_candidates(inst: Instance, clustering: Clustering) -> List[PointRe
     return _AuditContext(inst, clustering).devs
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 1.0):
+        raise ParameterError(f"alpha must be finite and >= 1, got {alpha}")
+
+
+def _check_beta(beta: float) -> None:
+    if not (math.isfinite(beta) and beta > 0):
+        raise ParameterError(f"beta must be finite and positive, got {beta}")
+
+
 def coalition_size(inst: Instance, alpha: float) -> int:
     """Smallest blocking-coalition size at relaxation alpha: ceil(alpha*n/k).
 
     Products within 1e-9 of an integer round to it, so alpha values meant to
     hit an exact threshold are not bumped a full agent by float noise.
     """
-    if alpha < 1.0:
-        raise ParameterError(f"alpha must be >= 1, got {alpha}")
+    _check_alpha(alpha)
     x = alpha * inst.n / inst.k
     nearest = round(x)
     if abs(x - nearest) <= TOL * max(1.0, abs(x)):
@@ -184,8 +253,7 @@ def coalition_size(inst: Instance, alpha: float) -> int:
 
 def _blocking_margin(cy: np.ndarray, cd_scaled: np.ndarray) -> np.ndarray:
     """Elementwise: does sum d(i,Y) beat beta * sum d(i,y') beyond noise."""
-    scale = np.maximum(1.0, np.maximum(np.abs(cy), np.abs(cd_scaled)))
-    return (cy - cd_scaled) > TOL * scale
+    return (cy - cd_scaled) > _tol(cy, cd_scaled)
 
 
 def _witness_from_column(ctx: _AuditContext, j: int, idx: Sequence[int]) -> BlockingWitness:
@@ -194,8 +262,36 @@ def _witness_from_column(ctx: _AuditContext, j: int, idx: Sequence[int]) -> Bloc
         y_prime=ctx.devs[j],
         coalition=idx,
         sum_to_Y=float(ctx.dY[idx].sum()),
-        sum_to_y_prime=float(ctx.D[idx, j].sum()),
+        sum_to_y_prime=float(ctx.DT[j, idx].sum()),
     )
+
+
+def _top_sums(ctx: _AuditContext, rows: np.ndarray, c: float, s: int
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per deviation row: the s agents with the largest gains
+    d(i,Y) - c*d(i,y'), and their sums of d(i,Y) and of d(i,y').
+
+    The sums run left to right (cumsum): np.sum along a contiguous row adds
+    in pairs and can differ in the last bit, which would move the choice
+    between near-tied witnesses.
+    """
+    idx = np.argpartition(c * rows - ctx.dY, s - 1, axis=1)[:, :s]
+    return (idx, ctx.dY[idx].cumsum(axis=1)[:, -1],
+            np.take_along_axis(rows, idx, axis=1).cumsum(axis=1)[:, -1])
+
+
+def _surviving(ctx: _AuditContext, cols: np.ndarray, c: float, s: int
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The deviations among cols whose best size-s surplus
+    sum d(i,Y) - c*sum d(i,y') is not negative beyond the tolerance, with
+    both sums of their best coalition."""
+    num = np.empty(cols.size)
+    den = np.empty(cols.size)
+    for lo in range(0, cols.size, _CHUNK):
+        _, num[lo:lo + _CHUNK], den[lo:lo + _CHUNK] = _top_sums(
+            ctx, ctx.DT[cols[lo:lo + _CHUNK]], c, s)
+    alive = num - c * den >= -_tol(num, c * den)
+    return cols[alive], num[alive], den[alive]
 
 
 def max_blocking_size(inst: Instance, clustering: Clustering, beta: float
@@ -206,36 +302,55 @@ def max_blocking_size(inst: Instance, clustering: Clustering, beta: float
     longest prefix with a strictly positive sum is that deviation's best
     size; sizes below ceil(n/k) never form a valid coalition and report 0.
     """
-    if beta <= 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    _check_beta(beta)
     ctx = _AuditContext(inst, clustering)
     return _max_blocking_size(ctx, beta)
 
 
+def _blocking_lengths(ctx: _AuditContext, beta: float, cols: np.ndarray
+                      ) -> np.ndarray:
+    """Per deviation, the longest blocking prefix of the stably sorted gains
+    d(i,Y) - beta*d(i,y'), or 0 when no prefix blocks."""
+    n = ctx.inst.n
+    lens = np.zeros(len(cols), dtype=int)
+    for lo in range(0, len(cols), _CHUNK):
+        rows = ctx.DT[cols[lo:lo + _CHUNK]]
+        order = np.argsort(beta * rows - ctx.dY, axis=1, kind="stable")
+        cy = ctx.dY[order].cumsum(axis=1)
+        cd = beta * np.take_along_axis(rows, order, axis=1).cumsum(axis=1)
+        blocking = _blocking_margin(cy, cd)
+        lens[lo:lo + _CHUNK] = np.where(
+            blocking.any(axis=1), n - np.argmax(blocking[:, ::-1], axis=1), 0)
+    return lens
+
+
 def _max_blocking_size(ctx: _AuditContext, beta: float
                        ) -> Tuple[int, Optional[BlockingWitness]]:
-    n = ctx.inst.n
     s_min = coalition_size(ctx.inst, 1.0)
-    best_len = 0
-    best_j = -1
-    for lo in range(0, ctx.m, _CHUNK):
-        block = ctx.D[:, lo:lo + _CHUNK]
-        gains = ctx.dY[:, None] - beta * block
-        order = np.argsort(-gains, axis=0, kind="stable")
-        cy = np.take_along_axis(
-            np.broadcast_to(ctx.dY[:, None], gains.shape), order, axis=0).cumsum(axis=0)
-        cd = beta * np.take_along_axis(block, order, axis=0).cumsum(axis=0)
-        blocking = _blocking_margin(cy, cd)
-        any_block = blocking.any(axis=0)
-        lens = np.where(any_block, n - np.argmax(blocking[::-1, :], axis=0), 0)
-        jloc = int(np.argmax(lens))
-        if int(lens[jloc]) > best_len:
-            best_len = int(lens[jloc])
-            best_j = lo + jloc
+    if ctx.m == 0:
+        return 0, None
+    cols, size = np.arange(ctx.m), s_min
+    # Prune while the survivors hold more than _CHUNK**2 distances; fewer
+    # are stable-sorted at once, which costs about as much as another
+    # pruning round.
+    while cols.size * ctx.inst.n > _CHUNK * _CHUNK:
+        # size is s_min or a length some deviation attains; prefix sums of
+        # the sorted gains are concave and start at 0, so a dropped
+        # deviation blocks at no length >= size.
+        cols, cy, cd = _surviving(ctx, cols, beta, size)
+        if not cols.size:
+            return 0, None
+        lead = cols[[int(np.argmax(cy - beta * cd))]]
+        grown = int(_blocking_lengths(ctx, beta, lead)[0])
+        if grown <= size:
+            break
+        size = grown
+    lens = _blocking_lengths(ctx, beta, cols)
+    best = int(np.argmax(lens))
+    best_len, best_j = int(lens[best]), int(cols[best])
     if best_len < s_min:
         return 0, None
-    dv = ctx.D[:, best_j]
-    order = np.argsort(-(ctx.dY - beta * dv), kind="stable")
+    order = np.argsort(-(ctx.dY - beta * ctx.DT[best_j]), kind="stable")
     return best_len, _witness_from_column(ctx, best_j, order[:best_len])
 
 
@@ -249,6 +364,7 @@ def min_beta(inst: Instance, clustering: Clustering, alpha: float
     distance zero while paying a positive cost, and 0 when no deviation or
     no coalition is possible at all.
     """
+    _check_alpha(alpha)
     ctx = _AuditContext(inst, clustering)
     return _min_beta(ctx, alpha)
 
@@ -261,8 +377,9 @@ def _min_beta(ctx: _AuditContext, alpha: float
         return 0.0, None
     best = -1.0
     best_witness: Optional[BlockingWitness] = None
-    for j in range(ctx.m):
-        value, idx = _best_ratio_for_dev(ctx, j, s)
+    cols, solved = _ratio_survivors(ctx, s)
+    for j in cols.tolist():
+        value, idx = solved.get(j) or _best_ratio_for_dev(ctx, j, s)
         if value > best:
             best = value
             best_witness = _witness_from_column(ctx, j, idx)
@@ -271,11 +388,56 @@ def _min_beta(ctx: _AuditContext, alpha: float
     return max(best, 0.0), best_witness
 
 
+def _ratio_survivors(ctx: _AuditContext, s: int
+                     ) -> Tuple[np.ndarray, Dict[int, Tuple[float, np.ndarray]]]:
+    """Deviations that may attain the largest size-s ratio, in index order,
+    and the results of _best_ratio_for_dev already computed for some.
+
+    Dinkelbach rounds over all deviations at once.  The multiplier c is
+    always the solved value of a surviving deviation, first of the one with
+    the best start ratio.  A deviation whose best surplus
+    sum d(i,Y) - c*sum d(i,y') is negative beyond the tolerance has every
+    ratio, and so its solved value, below c, and is dropped.  The deviation
+    that set c keeps a coalition of surplus 0 and survives.  The survivor
+    with the best ratio at c is solved next; the rounds stop when its value
+    does not exceed c.  c rises strictly through finitely many attained
+    ratios, so the rounds end.
+
+    Pruning is skipped (every deviation returned) when some deviation has s
+    agents within zero_tol, or the top-s sum of d(i,Y) is 0: then the
+    answer is inf or 0 and keeps its handling in the scan.
+    """
+    cols = np.arange(ctx.m)
+    top = np.argsort(-ctx.dY, kind="stable")[:s]
+    num = float(ctx.dY[top].sum())
+    den = np.empty(ctx.m)
+    zeros = np.empty(ctx.m, dtype=int)
+    for lo in range(0, ctx.m, _CHUNK):
+        rows = ctx.DT[lo:lo + _CHUNK]
+        den[lo:lo + _CHUNK] = rows[:, top].sum(axis=1)
+        zeros[lo:lo + _CHUNK] = (rows <= ctx.zero_tol).sum(axis=1)
+    if num <= 0 or zeros.max() >= s:
+        return cols, {}
+    # Without a zero-distance coalition every size-s sum of d(i,y') is
+    # above zero_tol, so the ratios below are finite.
+    lead = int(np.argmax(num / den))
+    solved = {lead: _best_ratio_for_dev(ctx, lead, s)}
+    c = solved[lead][0]
+    while True:
+        cols, num, den = _surviving(ctx, cols, c, s)
+        lead = int(cols[np.argmax(num / den)])
+        if lead not in solved:
+            solved[lead] = _best_ratio_for_dev(ctx, lead, s)
+        if not solved[lead][0] > c:
+            return cols, solved
+        c = solved[lead][0]
+
+
 def _best_ratio_for_dev(ctx: _AuditContext, j: int, s: int
                         ) -> Tuple[float, np.ndarray]:
     """Dinkelbach iteration for one deviation column at coalition size s."""
     dY = ctx.dY
-    dv = ctx.D[:, j]
+    dv = ctx.DT[j]
     zero = dv <= ctx.zero_tol
     if int(zero.sum()) >= s:
         zi = np.flatnonzero(zero)
@@ -289,7 +451,9 @@ def _best_ratio_for_dev(ctx: _AuditContext, j: int, s: int
     if den <= ctx.zero_tol:
         return (math.inf, idx) if num > TOL else (0.0, idx)
     beta = num / den
-    for _ in range(200):
+    # Every pass either stops or moves to a size-s coalition with a strictly
+    # larger ratio; there are finitely many of them, so the loop ends.
+    while True:
         gains = dY - beta * dv
         cand = np.argsort(-gains, kind="stable")[:s]
         surplus = float(gains[cand].sum())
@@ -312,12 +476,8 @@ def _best_at_size(ctx: _AuditContext, beta: float, s: int
     best_margin = -math.inf
     best = None
     for lo in range(0, ctx.m, _CHUNK):
-        block = ctx.D[:, lo:lo + _CHUNK]
-        gains = ctx.dY[:, None] - beta * block
-        idx = np.argpartition(-gains, s - 1, axis=0)[:s, :]
-        cy = np.take_along_axis(
-            np.broadcast_to(ctx.dY[:, None], gains.shape), idx, axis=0).sum(axis=0)
-        cd = beta * np.take_along_axis(block, idx, axis=0).sum(axis=0)
+        idx, cy, cd = _top_sums(ctx, ctx.DT[lo:lo + _CHUNK], beta, s)
+        cd = beta * cd
         blocked = _blocking_margin(cy, cd)
         if not blocked.any():
             continue
@@ -325,7 +485,7 @@ def _best_at_size(ctx: _AuditContext, beta: float, s: int
         jloc = int(np.argmax(margins))
         if margins[jloc] > best_margin:
             best_margin = float(margins[jloc])
-            best = _witness_from_column(ctx, lo + jloc, idx[:, jloc])
+            best = _witness_from_column(ctx, lo + jloc, idx[jloc])
     return best is not None, best
 
 
@@ -336,8 +496,8 @@ def is_in_core(inst: Instance, clustering: Clustering, alpha: float, beta: float
     Checking coalitions of the single size ceil(alpha*n/k) suffices: any
     larger blocking coalition contains one of that size at least as good.
     """
-    if beta <= 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    _check_alpha(alpha)
+    _check_beta(beta)
     ctx = _AuditContext(inst, clustering)
     return _is_in_core(ctx, alpha, beta)
 
@@ -355,6 +515,8 @@ def audit(inst: Instance, clustering: Clustering, alpha: float = 1.0,
           beta: float = 1.0) -> AuditResult:
     """Full audit: min beta at the queried alpha, max blocking size at the
     queried beta, and membership at the queried pair."""
+    _check_alpha(alpha)
+    _check_beta(beta)
     ctx = _AuditContext(inst, clustering)
     bmin, bwit = _min_beta(ctx, alpha)
     smax, swit = _max_blocking_size(ctx, beta)
@@ -390,6 +552,12 @@ def oracle_audit(inst: Instance, clustering: Clustering,
     sizes downward (for s_max).  Only the small-instance regime is allowed;
     this is the reference the fast path is validated against.
     """
+    if alpha is None:
+        alpha = 1.0
+    if beta is None:
+        beta = 1.0
+    _check_alpha(alpha)
+    _check_beta(beta)
     ctx = _AuditContext(inst, clustering)
     n = inst.n
     if n > ORACLE_MAX_N:
@@ -397,10 +565,6 @@ def oracle_audit(inst: Instance, clustering: Clustering,
     if ctx.m > ORACLE_MAX_CANDS:
         raise SizeLimitError(
             f"oracle_audit limited to {ORACLE_MAX_CANDS} deviation candidates, got {ctx.m}")
-    if alpha is None:
-        alpha = 1.0
-    if beta is None:
-        beta = 1.0
 
     bmin, bwit = _oracle_min_beta(ctx, alpha)
     smax, swit = _oracle_max_size(ctx, beta)
@@ -423,7 +587,7 @@ def _oracle_min_beta(ctx: _AuditContext, alpha: float
     best = -1.0
     best_pair = None
     for j in range(ctx.m):
-        dv = ctx.D[:, j]
+        dv = ctx.DT[j]
         for combo in itertools.combinations(range(n), s):
             idx = list(combo)
             num = float(ctx.dY[idx].sum())
@@ -449,7 +613,7 @@ def _oracle_max_size(ctx: _AuditContext, beta: float
         return 0, None
     for size in range(n, s_min - 1, -1):
         for j in range(ctx.m):
-            dv = ctx.D[:, j]
+            dv = ctx.DT[j]
             for combo in itertools.combinations(range(n), size):
                 idx = list(combo)
                 cy = float(ctx.dY[idx].sum())

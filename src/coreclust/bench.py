@@ -763,7 +763,7 @@ def _enumerated_best_ratio(inst: Instance, clustering: Clustering, size: int,
     """Test-grade enumeration of the best coalition ratio at a fixed size."""
     import itertools
     ctx = _AuditContext(inst, clustering)
-    dv = ctx.D[:, dev_col]
+    dv = ctx.DT[dev_col]
     best = 0.0
     for combo in itertools.combinations(range(inst.n), size):
         idx = list(combo)

@@ -7,7 +7,7 @@ floats in Euclidean space, and an integer vertex index for trees/matrices.
 
 All distance values are double-precision floats.  Downstream equality and
 strictness checks use an absolute tolerance of 1e-9 scaled by the larger
-magnitude involved (see :func:`close` and :func:`tol_gt`).
+magnitude involved (see :func:`close`).
 """
 from __future__ import annotations
 
@@ -42,11 +42,6 @@ def close(a: float, b: float, tol: float = TOL) -> bool:
     if a == b:
         return True
     return abs(a - b) <= tol * _scale(a, b)
-
-
-def tol_gt(a: float, b: float, tol: float = TOL) -> bool:
-    """Strictly greater, with tolerance: a > b by more than float noise."""
-    return a - b > tol * _scale(a, b)
 
 
 @dataclass(frozen=True)

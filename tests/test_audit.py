@@ -1,6 +1,8 @@
 """Fairness audit: examples, oracle agreement, monotonicity, witnesses."""
+import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +10,17 @@ import pytest
 from coreclust.audit import (audit, coalition_size, deviation_candidates,
                              is_in_core, max_blocking_size, min_beta,
                              oracle_audit)
-from coreclust.bench import random_clustering
+from coreclust.baselines import kmeans_pp, lloyd_kmedians
+from coreclust.bench import (random_clustering, random_euclidean_instance,
+                             random_matrix_instance, random_tree_instance)
 from coreclust.errors import ParameterError, SizeLimitError, ValidationError
 from coreclust.instance import (CONTINUOUS_LINE, Clustering, Instance,
-                                gen_k4, gen_kmedians_bad, gen_line_beta_lb)
-from coreclust.metric import Space
+                                gen_clique, gen_gaussian, gen_k4,
+                                gen_kmedians_bad, gen_line_beta_lb)
+from coreclust.metric import TOL, Space, cross_distances
+
+# the package attribute `coreclust.audit` is the function; this is the module
+audit_mod = importlib.import_module("coreclust.audit")
 
 
 @pytest.fixture
@@ -52,6 +60,26 @@ def test_coalition_size_integer_guard():
 def test_coalition_size_rejects_small_alpha(k4):
     with pytest.raises(ParameterError):
         coalition_size(k4, 0.5)
+
+
+_PARAMETER_CALLS = {
+    "coalition_size": lambda inst, y, v: coalition_size(inst, v),
+    "min_beta": lambda inst, y, v: min_beta(inst, y, v),
+    "max_blocking_size": lambda inst, y, v: max_blocking_size(inst, y, v),
+    "is_in_core-alpha": lambda inst, y, v: is_in_core(inst, y, v, 1.0),
+    "is_in_core-beta": lambda inst, y, v: is_in_core(inst, y, 1.0, v),
+    "audit-alpha": lambda inst, y, v: audit(inst, y, alpha=v),
+    "audit-beta": lambda inst, y, v: audit(inst, y, beta=v),
+    "oracle_audit-alpha": lambda inst, y, v: oracle_audit(inst, y, alpha=v),
+    "oracle_audit-beta": lambda inst, y, v: oracle_audit(inst, y, beta=v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(_PARAMETER_CALLS))
+def test_nonfinite_parameters_rejected(k4, k4_y, call, bad):
+    with pytest.raises(ParameterError):
+        _PARAMETER_CALLS[call](k4, k4_y, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +298,37 @@ def test_oracle_agreement_random_instances():
         assert fast_smax == res.s_max
 
 
+def _oracle_instances(rng, make, count):
+    out = []
+    while len(out) < count:
+        inst = make(rng)
+        clustering = random_clustering(rng, inst)
+        if len(deviation_candidates(inst, clustering)) <= 16:
+            out.append((inst, clustering))
+    return out
+
+
+@pytest.mark.parametrize("kind,make", [
+    ("tree", lambda rng: random_tree_instance(rng, n_max=10, v_max=10)),
+    ("euclidean", lambda rng: random_euclidean_instance(rng, n_max=10)),
+    ("matrix", lambda rng: random_matrix_instance(rng, n_max=10)),
+])
+def test_oracle_agreement_every_space_kind(kind, make):
+    rng = np.random.default_rng(["tree", "euclidean", "matrix"].index(kind))
+    for inst, clustering in _oracle_instances(rng, make, 15):
+        for alpha, beta in ((1.0, 1.0), (1.3, 1.5)):
+            if coalition_size(inst, alpha) > inst.n:
+                continue
+            fast = audit(inst, clustering, alpha=alpha, beta=beta)
+            slow = oracle_audit(inst, clustering, alpha=alpha, beta=beta)
+            if math.isinf(fast.beta_min) or math.isinf(slow.beta_min):
+                assert math.isinf(fast.beta_min) == math.isinf(slow.beta_min)
+            else:
+                assert fast.beta_min == pytest.approx(slow.beta_min, rel=1e-7)
+            assert fast.s_max == slow.s_max
+            assert fast.in_core == slow.in_core
+
+
 def test_oracle_size_limits():
     inst = line_instance(list(range(20)), k=2,
                          candidates=[float(i) for i in range(20)])
@@ -328,3 +387,126 @@ def test_lemma_downward_closure():
                 assert not ok  # the base size must block too
                 checks += 1
         checks += 1
+
+
+# ---------------------------------------------------------------------------
+# pruned engine against a full scan
+# ---------------------------------------------------------------------------
+
+def _full_scan_min_beta(ctx, s):
+    """Dinkelbach on every deviation column, in index order."""
+    best, witness = -1.0, None
+    for j in range(ctx.m):
+        value, idx = audit_mod._best_ratio_for_dev(ctx, j, s)
+        if value > best:
+            best, witness = value, audit_mod._witness_from_column(ctx, j, idx)
+            if math.isinf(best):
+                break
+    return max(best, 0.0), witness
+
+
+def _full_scan_max_blocking(ctx, beta):
+    """Longest blocking prefix of the stably sorted gains of every column."""
+    best_len, best = 0, None
+    for j in range(ctx.m):
+        order = np.argsort(-(ctx.dY - beta * ctx.DT[j]), kind="stable")
+        cy = np.cumsum(ctx.dY[order])
+        cd = beta * np.cumsum(ctx.DT[j][order])
+        scale = np.maximum(1.0, np.maximum(np.abs(cy), np.abs(cd)))
+        hits = np.flatnonzero(cy - cd > TOL * scale)
+        length = int(hits[-1]) + 1 if hits.size else 0
+        if length > best_len:
+            best_len, best = length, (j, order[:length])
+    if best_len < coalition_size(ctx.inst, 1.0):
+        return 0, None
+    return best_len, audit_mod._witness_from_column(ctx, *best)
+
+
+def _brute_deviations(inst, clustering):
+    """Candidates whose agent-distance profile matches no center's."""
+    if inst.continuous_candidates:
+        return [c for c in sorted({float(a) for a in inst.agents})
+                if all(abs(c - float(y)) > TOL * max(1.0, abs(c))
+                       for y in clustering.centers)]
+    cands = list(inst.candidates)
+    prof = cross_distances(inst.space, inst.agents, cands)
+    cent = cross_distances(inst.space, inst.agents, list(clustering.centers))
+
+    def same(a, b):
+        return all(abs(x - y) <= TOL * max(1.0, abs(x), abs(y))
+                   for x, y in zip(a, b))
+
+    return [c for j, c in enumerate(cands)
+            if not any(same(prof[:, j], cent[:, col])
+                       for col in range(cent.shape[1]))]
+
+
+def _pruning_cases():
+    rng = np.random.default_rng(8)
+    for seed in (0, 1):
+        base = gen_gaussian(n=300, seed=seed)
+        for k in (5, 10, 15):
+            inst = Instance(space=base.space, agents=base.agents,
+                            candidates=base.candidates, k=k)
+            yield "gauss-kmeans", inst, kmeans_pp(inst.agents, k, seed=seed,
+                                                  restarts=2, max_iter=20)
+            yield "gauss-drawn", inst, random_clustering(rng, inst)
+    for _ in range(25):
+        n = int(rng.integers(4, 40))
+        coords = [float(x) for x in rng.integers(0, 6, size=n)]
+        cands = CONTINUOUS_LINE if rng.random() < 0.3 else sorted(set(coords))
+        inst = line_instance(coords, k=int(rng.integers(1, 5)), candidates=cands)
+        yield "integer-line", inst, random_clustering(rng, inst)
+    for n in (4, 6, 10):
+        base = gen_clique(n)
+        for k in (1, 2, 3):
+            inst = Instance(space=base.space, agents=base.agents,
+                            candidates=base.candidates, k=k)
+            yield "clique", inst, random_clustering(rng, inst)
+    trap = gen_kmedians_bad(7)
+    yield "kmedians-trap", trap, lloyd_kmedians(trap.agents, trap.k, seed=0)
+    # two agents within zero_tol of a deviation, next to a finite ratio far
+    # above their own: the zero-distance coalition must still give inf
+    near = line_instance([0.0, 0.0, 100.0, 100.0], k=2,
+                         candidates=[1.0, 90.0, 0.9e-7, 100.0 + 2e-7])
+    yield "near-zero-trap", near, Clustering(centers=[1.0, 90.0])
+
+
+def test_used_candidates_on_a_clique_stay_in_bounded_memory():
+    # On a unit clique the first agents are at distance 1 from nearly every
+    # candidate and center, so nearly every (candidate, center) pair passes
+    # the probe rows; one n x (passing pairs) array would take about 30 MB.
+    inst = gen_clique(200)
+    clustering = random_clustering(np.random.default_rng(3), inst)
+    tracemalloc.start()
+    try:
+        devs = deviation_candidates(inst, clustering)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert devs == _brute_deviations(inst, clustering)
+    assert len(devs) == inst.n - inst.k
+    assert peak < 8e6
+
+
+def test_pruned_engine_matches_full_scan():
+    pruned = {}
+    for name, inst, clustering in _pruning_cases():
+        ctx = audit_mod._AuditContext(inst, clustering)
+        assert ctx.devs == _brute_deviations(inst, clustering), name
+        for alpha in (1.0, 1.5, 2.0):
+            s = coalition_size(inst, alpha)
+            if s > inst.n:
+                continue
+            got = audit_mod._min_beta(ctx, alpha)
+            assert got == _full_scan_min_beta(ctx, s), (name, alpha)
+            if name.startswith("gauss"):
+                survivors = audit_mod._ratio_survivors(ctx, s)[0].size
+                pruned[name] = pruned.get(name, 0) + ctx.m - survivors
+        for beta in (1.0, 1.5, 2.0, 3.0):
+            got = audit_mod._max_blocking_size(ctx, beta)
+            assert got == _full_scan_max_blocking(ctx, beta), (name, beta)
+        if name.endswith("trap"):
+            assert math.isinf(audit_mod._min_beta(ctx, 1.0)[0])
+    # the shortcut is exercised, not skipped
+    assert pruned["gauss-kmeans"] > 0 and pruned["gauss-drawn"] > 0
