@@ -174,42 +174,78 @@ class GreedyTrace:
         return [e.to_json() for e in self.events]
 
 
-def _next_opening(D: np.ndarray, uncovered: np.ndarray, min_d: np.ndarray,
-                  open_mask: np.ndarray, threshold: int) -> Tuple[float, int]:
-    """Earliest radius at which some unopened candidate ball holds
-    `threshold` uncovered agents, accounting for absorption along the way.
+_BLOCK = 64  # candidate rows per block of lower bounds and of exact sweeps
+
+
+def _opening_radii(DTu: np.ndarray, md: np.ndarray, threshold: int
+                   ) -> np.ndarray:
+    """Per candidate row of DTu (its distances to the uncovered agents): the
+    earliest radius at which its ball holds `threshold` uncovered agents,
+    accounting for absorption along the way; inf when it never does.
 
     An uncovered agent i contributes to candidate j over the radius interval
     [d(i,j), d(i,Y)): it enters when the ball reaches it and leaves when an
-    existing center absorbs it.  The answer per candidate is the first event
-    radius where the running interval count reaches the threshold; exits at
-    a given radius are counted before entries to honor absorb-before-open.
+    existing center absorbs it (md holds d(i,Y)).  The answer per candidate
+    is the first event radius where the running interval count reaches the
+    threshold; exits at a given radius are counted before entries to honor
+    absorb-before-open.
+    """
+    enters = DTu < md
+    entry_vals = np.where(enters, DTu, math.inf)
+    exit_vals = np.where(enters & np.isfinite(md), md, math.inf)
+    vals = np.hstack([exit_vals, entry_vals])
+    order = np.argsort(vals, axis=1, kind="stable")
+    vals_sorted = np.take_along_axis(vals, order, axis=1)
+    run = np.where(order < md.size, -1, 1).cumsum(axis=1)
+    hit = (run >= threshold) & np.isfinite(vals_sorted)
+    any_hit = hit.any(axis=1)
+    first = np.where(any_hit, hit.argmax(axis=1), 0)
+    return np.where(any_hit, vals_sorted[np.arange(len(vals)), first], math.inf)
+
+
+def _next_opening(DT: np.ndarray, uncovered: np.ndarray, min_d: np.ndarray,
+                  open_mask: np.ndarray, threshold: int) -> Tuple[float, int]:
+    """Earliest radius at which some unopened candidate ball holds
+    `threshold` uncovered agents (see _opening_radii), and that candidate;
+    ties go to the lowest candidate index.  (inf, -1) when none ever does.
+
+    Prune, then solve.  When ball j opens at radius r, at least `threshold`
+    uncovered agents have d(i,j) <= r < d(i,Y).  So r is at least lb_j, the
+    threshold-th smallest d(i,j) over the uncovered agents with
+    d(i,j) < d(i,Y), and below cap, the threshold-th largest d(i,Y).  While
+    no uncovered agent can be absorbed (every d(i,Y) is inf) the radius is
+    exactly lb_j.  Otherwise candidates are swept in ascending (lb_j, j)
+    order, in blocks, skipping those with lb_j above the best radius found
+    so far (cap at first) and stopping at the first block that starts above
+    it.  Only candidates strictly worse than the best are skipped, and each
+    radius depends on its own candidate alone, so the answer is that of a
+    sweep over all candidates.
     """
     u_idx = np.flatnonzero(uncovered)
-    if u_idx.size == 0:
+    if u_idx.size < threshold or open_mask.all():
         return math.inf, -1
-    Du = D[u_idx, :]
     md = min_d[u_idx]
-    enters = Du < md[:, None]
-    entry_vals = np.where(enters, Du, math.inf)
-    exit_vals = np.where(enters & np.isfinite(md)[:, None],
-                         np.broadcast_to(md[:, None], Du.shape), math.inf)
-    vals = np.vstack([exit_vals, entry_vals])
-    signs = np.vstack([np.full(Du.shape, -1, dtype=np.int8),
-                       np.full(Du.shape, 1, dtype=np.int8)])
-    order = np.argsort(vals, axis=0, kind="stable")
-    vals_sorted = np.take_along_axis(vals, order, axis=0)
-    run = np.take_along_axis(signs, order, axis=0).astype(np.int32).cumsum(axis=0)
-    hit = (run >= threshold) & np.isfinite(vals_sorted)
-    hit[:, open_mask] = False
-    any_hit = hit.any(axis=0)
-    if not any_hit.any():
-        return math.inf, -1
-    first = np.where(any_hit, hit.argmax(axis=0), 0)
-    radii = np.where(any_hit,
-                     vals_sorted[first, np.arange(vals.shape[1])], math.inf)
-    j = int(np.argmin(radii))
-    return float(radii[j]), j
+    cols = np.flatnonzero(~open_mask)
+    lb = np.empty(cols.size)
+    for lo in range(0, cols.size, _BLOCK):
+        rows = DT[np.ix_(cols[lo:lo + _BLOCK], u_idx)]
+        rows = np.where(rows < md, rows, math.inf)
+        lb[lo:lo + _BLOCK] = np.partition(rows, threshold - 1, axis=1)[:, threshold - 1]
+    order = np.argsort(lb, kind="stable")
+    cols, lb = cols[order], lb[order]
+    if np.isinf(md).all():
+        return (float(lb[0]), int(cols[0])) if lb[0] < math.inf else (math.inf, -1)
+    best, best_j = np.partition(md, md.size - threshold)[md.size - threshold], -1
+    for lo in range(0, cols.size, _BLOCK):
+        if lb[lo] > best:
+            break
+        sel = cols[lo:lo + _BLOCK][lb[lo:lo + _BLOCK] <= best]
+        radii = _opening_radii(DT[np.ix_(sel, u_idx)], md, threshold)
+        r = radii.min()
+        j = int(sel[radii == r].min())
+        if r < best or (r == best and j < best_j):
+            best, best_j = float(r), j
+    return (best, best_j) if best_j >= 0 else (math.inf, -1)
 
 
 def alg_greedy_ball(inst: Instance, fill: bool = True
@@ -222,13 +258,21 @@ def alg_greedy_ball(inst: Instance, fill: bool = True
     candidate index.  Every opening removes at least ceil(n/k) agents, so at
     most k centers open naturally; with `fill` the remainder is topped up
     greedily to exactly k.
+
+    Each opening is found by prune-then-solve (_next_opening): a candidate
+    cannot open before the ceil(n/k)-th smallest of its distances to the
+    uncovered agents it reaches before they are absorbed, so the exact event
+    sweep runs only on candidates whose bound does not exceed the best
+    radius found, in ascending bound order.  Only strictly later candidates
+    are skipped, so the centers, radii and ties (to the lowest candidate
+    index) are those of a sweep over all candidates.
     """
     if inst.continuous_candidates:
         raise ParameterError("alg_greedy_ball needs finite candidates; use alg_line")
     cands = list(inst.candidates)
     n, m, k = inst.n, len(cands), inst.k
     threshold = ceil_div(n, k)
-    D = cross_distances(inst.space, inst.agents, cands)
+    DT = cross_distances(inst.space, inst.agents, cands).T.copy()
 
     uncovered = np.ones(n, dtype=bool)
     min_d = np.full(n, math.inf)
@@ -250,19 +294,19 @@ def alg_greedy_ball(inst: Instance, fill: bool = True
         uncovered[hit] = False
 
     while uncovered.any():
-        delta, j = _next_opening(D, uncovered, min_d, open_mask, threshold)
+        delta, j = _next_opening(DT, uncovered, min_d, open_mask, threshold)
         if j < 0:
             absorb_upto(math.inf)
             break
         absorb_upto(delta)
-        ball = uncovered & (D[:, j] <= delta)
+        ball = uncovered & (DT[j] <= delta)
         events.append(TraceEvent(delta=delta, kind="open", center=cands[j],
                                  removed=[int(i) for i in np.flatnonzero(ball)]))
         uncovered[ball] = False
         open_mask[j] = True
         opened.append(j)
-        better = D[:, j] < min_d
-        min_d[better] = D[better, j]
+        better = DT[j] < min_d
+        min_d[better] = DT[j, better]
         nearest_open[better] = len(opened) - 1
 
     centers: List[PointRef] = [cands[j] for j in opened]

@@ -172,6 +172,8 @@ class _AuditContext:
         if len(clustering.centers) != inst.k:
             raise ValidationError(
                 f"clustering has {len(clustering.centers)} centers; instance wants k={inst.k}")
+        for c in clustering.centers:
+            inst.space.check_point(c)
         self.inst = inst
         self.centers = list(clustering.centers)
         n = inst.n

@@ -125,6 +125,8 @@ def _point_from_json(space: Space, obj) -> PointRef:
         return tuple(float(x) for x in obj)
     if space.kind == LINE:
         return float(obj)
+    if isinstance(obj, float) and not obj.is_integer():
+        raise ValidationError(f"vertex index must be an integer, got {obj!r}")
     return int(obj)
 
 

@@ -11,6 +11,7 @@ magnitude involved (see :func:`close`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import ValidationError
 
 TOL = 1e-9
+_ROWS = 256  # agent rows per block of the Euclidean distance build
 
 LINE = "line"
 TREE = "tree"
@@ -63,6 +65,12 @@ class TreeGraph:
             raise ValidationError(
                 f"tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}"
             )
+        for u, v, w in self.edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValidationError(f"edge ({u},{v}) out of range for {n} vertices")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValidationError(
+                    f"edge weight {w} on ({u},{v}) must be finite and nonnegative")
         seen = [False] * n
         adj = self.adjacency()
         stack = [0]
@@ -77,11 +85,6 @@ class TreeGraph:
                     stack.append(v)
         if count != n:
             raise ValidationError("tree edges do not connect all vertices")
-        for u, v, w in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) out of range for {n} vertices")
-            if w < 0:
-                raise ValidationError(f"negative edge weight {w} on ({u},{v})")
 
     def adjacency(self) -> list:
         adj = [[] for _ in range(self.vertex_count)]
@@ -124,6 +127,8 @@ class Space:
             matrix = np.asarray(matrix, dtype=float)
             if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValidationError("distance matrix must be square")
+            if not np.isfinite(matrix).all():
+                raise ValidationError("distance matrix entries must be finite")
             if not np.allclose(matrix, matrix.T, atol=TOL, rtol=TOL):
                 raise ValidationError("distance matrix must be symmetric")
             if np.abs(np.diagonal(matrix)).max(initial=0.0) > TOL:
@@ -178,8 +183,8 @@ class Space:
     def check_point(self, p: PointRef) -> None:
         """Raise ValidationError when p is not a valid point of this space."""
         if self.kind == LINE:
-            if not isinstance(p, (int, float)) or isinstance(p, bool):
-                raise ValidationError(f"line point must be a real number, got {p!r}")
+            if not isinstance(p, (int, float)) or isinstance(p, bool) or not math.isfinite(p):
+                raise ValidationError(f"line point must be a finite real number, got {p!r}")
         elif self.kind == EUCLIDEAN:
             if not isinstance(p, (tuple, list, np.ndarray)) or len(p) != self.dim:
                 raise ValidationError(f"euclidean point must have dim {self.dim}, got {p!r}")
@@ -271,8 +276,14 @@ def cross_distances(space: Space, pts_a: Sequence[PointRef],
         b = np.asarray([np.asarray(p, dtype=float) for p in pts_b], dtype=float)
         if len(pts_a) == 0 or len(pts_b) == 0:
             return np.zeros((len(pts_a), len(pts_b)))
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=2))
+        # Row blocks bound the difference tensor to _ROWS x len(b) x dim;
+        # each entry is still summed over its own coordinates alone, so the
+        # result matches the one-shot expression bit for bit.
+        out = np.empty((len(a), len(b)))
+        for lo in range(0, len(a), _ROWS):
+            diff = a[lo:lo + _ROWS, None, :] - b[None, :, :]
+            out[lo:lo + _ROWS] = np.sqrt((diff * diff).sum(axis=2))
+        return out
     full = apsp(space)
     ia = np.asarray(pts_a, dtype=int)
     ib = np.asarray(pts_b, dtype=int)

@@ -6,15 +6,18 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from coreclust import algorithms
 from coreclust.algorithms import (alg_greedy_ball, alg_line, alg_mst_cover,
                                   alg_refined, alg_tree, assign_agents,
                                   ceil_div, greedy_fill, optimal_total_distance,
                                   proportional_budgets)
 from coreclust.baselines import KMEANS, MEDOID, social_cost
-from coreclust.bench import random_line_instance, random_tree_instance
+from coreclust.bench import (random_line_instance, random_matrix_instance,
+                             random_tree_instance)
 from coreclust.errors import ParameterError, SizeLimitError
 from coreclust.instance import (CONTINUOUS_LINE, Clustering, Instance,
-                                gen_clique, gen_k4, gen_line_beta_lb)
+                                gen_clique, gen_gaussian, gen_k4,
+                                gen_line_beta_lb)
 from coreclust.metric import Space, cross_distances
 
 
@@ -221,6 +224,89 @@ def test_greedy_ball_matches_reference_sweep():
         fast_deltas = [e.delta for e in trace.events if e.kind == "open"]
         assert fast.centers == ref_centers
         assert fast_deltas == pytest.approx(ref_deltas, abs=1e-12)
+
+
+def _full_width_opening(DT, uncovered, min_d, open_mask, threshold):
+    """Exact opening radius of every unopened candidate, lowest index at ties."""
+    u_idx = np.flatnonzero(uncovered)
+    cols = np.flatnonzero(~open_mask)
+    if u_idx.size == 0 or cols.size == 0:
+        return math.inf, -1
+    radii = algorithms._opening_radii(DT[np.ix_(cols, u_idx)], min_d[u_idx],
+                                      threshold)
+    best = int(np.argmin(radii))
+    if math.isinf(radii[best]):
+        return math.inf, -1
+    return float(radii[best]), int(cols[best])
+
+
+def _greedy_sweep_cases():
+    rng = np.random.default_rng(21)
+    base = gen_gaussian(n=400, seed=4)
+    for k in (3, 6, 9, 13, 17):
+        yield "gaussian", base.with_k(k)
+    for _ in range(6):
+        n = int(rng.integers(20, 120))
+        pts = [tuple(float(x) for x in p) for p in rng.integers(0, 4, size=(n, 2))]
+        k = int(rng.integers(1, 12))
+        yield "integer-grid", Instance(space=Space.euclidean(2), agents=pts,
+                                       candidates=list(dict.fromkeys(pts)), k=k)
+        yield "integer-grid-dup", Instance(space=Space.euclidean(2), agents=pts,
+                                           candidates=list(pts), k=k)
+    for n in (6, 20, 60):
+        yield "clique", gen_clique(n)
+    for _ in range(8):
+        yield "matrix", random_matrix_instance(rng, n_max=60)
+    # After the opening at 0, candidate 2 (at 2) and candidate 1 (at 198)
+    # both open at radius 98, when the agents at 100 enter.  The bound puts
+    # the fillers at 1.5 (bound 1.5, radius 98.5: the agents they reach
+    # early are absorbed in turn) and candidate 2 (bound 3) in the first
+    # block, and candidate 1 (bound 98) alone in the next one, which starts
+    # exactly at the best radius: the tie must still go to candidate 1.
+    pts = [(x,) for x in [0.0] * 3 + [1.0] * 2 + [3.0] * 2 + [5.0] + [100.0] * 3]
+    cands = [(0.0,), (198.0,), (2.0,)] + [(1.5,)] * (algorithms._BLOCK - 1)
+    yield "cross-block-tie", Instance(space=Space.euclidean(1), agents=pts,
+                                      candidates=cands, k=4)
+    # groups of 10, 10 and 5 far apart, threshold 9: after two openings
+    # fewer than 9 agents are uncovered, so the third group is absorbed
+    pts = [(100.0 * g + 0.1 * i, 0.0) for g, size in enumerate((10, 10, 5))
+           for i in range(size)]
+    yield "below-threshold", Instance(space=Space.euclidean(2), agents=pts,
+                                      candidates=list(pts), k=3)
+
+
+def test_greedy_ball_pruned_matches_full_sweep(monkeypatch):
+    count = {"swept": 0, "unopened": 0}
+    opening_radii = algorithms._opening_radii
+    next_opening = algorithms._next_opening
+
+    def counted_radii(DTu, md, threshold):
+        count["swept"] += len(DTu)
+        return opening_radii(DTu, md, threshold)
+
+    def counted_opening(DT, uncovered, min_d, open_mask, threshold):
+        count["unopened"] += int((~open_mask).sum())
+        return next_opening(DT, uncovered, min_d, open_mask, threshold)
+
+    for name, inst in _greedy_sweep_cases():
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms, "_opening_radii", counted_radii)
+            patch.setattr(algorithms, "_next_opening", counted_opening)
+            pruned, pruned_trace = alg_greedy_ball(inst, fill=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(algorithms, "_next_opening", _full_width_opening)
+            full, full_trace = alg_greedy_ball(inst, fill=False)
+        assert pruned.centers == full.centers, name
+        assert pruned_trace.to_json() == full_trace.to_json(), name
+        if name == "cross-block-tie":
+            assert pruned.centers == [(0.0,), (198.0,)]
+        if name == "below-threshold":
+            assert len(pruned.centers) == 2
+            absorbed = {i for e in pruned_trace.events if e.kind == "absorb"
+                        for i in e.removed}
+            assert absorbed >= set(range(20, 25))
+    # the bounds skip candidates: most unopened candidates are never swept
+    assert 0 < count["swept"] < count["unopened"] / 2
 
 
 # ---------------------------------------------------------------------------

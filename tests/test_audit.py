@@ -197,6 +197,31 @@ def test_mismatched_k_rejected(k4):
         audit(k4, Clustering(centers=[0, 1, 2]))
 
 
+_CENTER_CALLS = {
+    "audit": lambda inst, y: audit(inst, y),
+    "min_beta": lambda inst, y: min_beta(inst, y, 1.0),
+    "max_blocking_size": lambda inst, y: max_blocking_size(inst, y, 1.0),
+    "is_in_core": lambda inst, y: is_in_core(inst, y, 1.0, 1.0),
+    "oracle_audit": lambda inst, y: oracle_audit(inst, y),
+    "deviation_candidates": lambda inst, y: deviation_candidates(inst, y),
+}
+
+
+@pytest.mark.parametrize("centers", [[0, 7], [0, -1], [0.5, 1], [0, 1.0]],
+                         ids=["out-of-range", "negative", "fractional", "float"])
+@pytest.mark.parametrize("call", sorted(_CENTER_CALLS))
+def test_centers_outside_the_space_rejected(k4, call, centers):
+    with pytest.raises(ValidationError):
+        _CENTER_CALLS[call](k4, Clustering(centers=centers))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_line_center_rejected(bad):
+    inst = line_instance([0, 1, 2, 3], k=2)
+    with pytest.raises(ValidationError):
+        audit(inst, Clustering(centers=[0.0, bad]))
+
+
 # ---------------------------------------------------------------------------
 # audit result
 # ---------------------------------------------------------------------------
@@ -510,3 +535,23 @@ def test_pruned_engine_matches_full_scan():
             assert math.isinf(audit_mod._min_beta(ctx, 1.0)[0])
     # the shortcut is exercised, not skipped
     assert pruned["gauss-kmeans"] > 0 and pruned["gauss-drawn"] > 0
+
+
+def test_max_blocking_size_lone_longest_deviation():
+    # 200 agents at 0 (distance 1 to the center at -1) and 30 at 7.9 (on
+    # centers).  The deviation at 0 gains 1 on each of the 200 and pays 7.9
+    # for each agent at 7.9, so it blocks with 200 + 25 agents; every other
+    # deviation reaches at most 224.  It leads the first pruning round, and
+    # 301 deviations x 230 agents keep the rounds going, so pruning at one
+    # more than its exact length would lose the answer.
+    cands = sorted([0.0] + [float(sign * x) for x in np.linspace(0.05, 0.5, 150)
+                            for sign in (1, -1)])
+    inst = line_instance([0.0] * 200 + [7.9] * 30, k=4, candidates=cands)
+    clustering = Clustering(centers=[-1.0, 7.9, 7.9, 7.9])
+    ctx = audit_mod._AuditContext(inst, clustering)
+    assert ctx.m * inst.n > audit_mod._CHUNK ** 2
+    lens = audit_mod._blocking_lengths(ctx, 1.0, np.arange(ctx.m))
+    assert lens.max() == 225 and np.sum(lens == 225) == 1
+    size, witness = max_blocking_size(inst, clustering, 1.0)
+    assert (size, witness) == _full_scan_max_blocking(ctx, 1.0)
+    assert size == 225 and witness.y_prime == 0.0

@@ -49,6 +49,21 @@ def test_audit_mismatched_k_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("centers", [[0, 7], [0, 0.5]])
+def test_audit_center_outside_space_exit_2(tmp_path, capsys, centers):
+    inst_path = str(tmp_path / "k4.json")
+    y_path = str(tmp_path / "y.json")
+    main(["generate", "--name", "k4", "--out", inst_path])
+    with open(y_path, "w") as fh:
+        json.dump({"centers": centers}, fh)
+    capsys.readouterr()
+    code = main(["audit", "--instance", inst_path, "--clustering", y_path,
+                 "--out", str(tmp_path / "a.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_unknown_flag_exit_1():
     assert main(["cluster", "--bogus"]) == 1
 

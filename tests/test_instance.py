@@ -42,6 +42,21 @@ def test_agent_index_checked():
         Instance(space=sp, agents=[0, 7], candidates=[0, 1], k=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_line_agent_rejected(bad):
+    with pytest.raises(ValidationError):
+        Instance(space=Space.line(), agents=[0.0, bad], candidates=CONTINUOUS_LINE, k=1)
+    with pytest.raises(ValidationError):
+        Instance(space=Space.line(), agents=[0.0, 1.0], candidates=[0.0, bad], k=1)
+
+
+def test_fractional_vertex_in_clustering_json_rejected(tmp_path):
+    path = tmp_path / "y.json"
+    path.write_text('{"centers": [0, 0.5]}')
+    with pytest.raises(ValidationError):
+        load_clustering(str(path), gen_k4().space)
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------

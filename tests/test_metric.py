@@ -1,4 +1,6 @@
 """Distance queries, all-pairs computation, and metric-axiom validation."""
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -165,6 +167,45 @@ def test_tree_graph_invariants():
         TreeGraph(4, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))  # cycle
     with pytest.raises(ValidationError):
         TreeGraph(3, ((0, 1, 1.0), (1, 2, -2.0)))  # negative weight
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_tree_weight_rejected(bad):
+    with pytest.raises(ValidationError):
+        TreeGraph(3, ((0, 1, 1.0), (1, 2, bad)))
+
+
+def test_tree_edge_out_of_range_rejected():
+    with pytest.raises(ValidationError):
+        TreeGraph(3, ((0, 1, 1.0), (1, 5, 1.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_matrix_entry_rejected(bad):
+    mat = np.ones((3, 3)) - np.eye(3)
+    mat[0, 2] = mat[2, 0] = bad
+    with pytest.raises(ValidationError):
+        Space.from_matrix(mat)
+    with pytest.raises(ValidationError):
+        Space.from_matrix(mat, validate=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_line_point_rejected(bad):
+    with pytest.raises(ValidationError):
+        Space.line().check_point(bad)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 9, 17])
+def test_blocked_euclidean_distances_match_one_shot(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((600, dim)) * 1e3
+    b = rng.standard_normal((70, dim))
+    diff = a[:, None, :] - b[None, :, :]
+    one_shot = np.sqrt((diff * diff).sum(axis=2))
+    got = cross_distances(Space.euclidean(dim), [tuple(p) for p in a],
+                          [tuple(p) for p in b])
+    assert np.array_equal(got, one_shot)
 
 
 def test_close_scales_with_magnitude():
