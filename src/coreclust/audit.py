@@ -580,31 +580,51 @@ def oracle_audit(inst: Instance, clustering: Clustering,
     )
 
 
+def _combos(n: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n), one per row, in itertools order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+    count = math.comb(n, size)
+    out = np.fromiter(flat, dtype=np.intp, count=count * size).reshape(count, size)
+    out.flags.writeable = False
+    return out
+
+
+def _oracle_best_ratio(ctx: _AuditContext, size: int, cols: Sequence[int]
+                       ) -> Tuple[float, Optional[Tuple[int, np.ndarray]]]:
+    """Best ratio sum d(i,Y) / sum d(i,y') over every coalition of the size
+    and every deviation in cols, scanned in (deviation, coalition) order.
+
+    Returns inf and the first pair whose coalition sits at zero distance
+    from its deviation while paying a positive cost; otherwise the largest
+    ratio and the first pair reaching it, or (-1.0, None) when every pair
+    sits at zero distance.
+    """
+    combos = _combos(ctx.inst.n, size)
+    num = ctx.dY[combos].sum(axis=1)
+    trap_num = num > TOL * np.maximum(1.0, num)
+    best, best_pair = -1.0, None
+    for j in cols:
+        den = ctx.DT[j][combos].sum(axis=1)
+        zero = den <= ctx.zero_tol
+        trap = zero & trap_num
+        if trap.any():
+            return math.inf, (j, combos[int(np.argmax(trap))])
+        ratio = np.where(zero, -math.inf, num / np.where(zero, 1.0, den))
+        at = int(np.argmax(ratio))
+        if ratio[at] > best:
+            best, best_pair = float(ratio[at]), (j, combos[at])
+    return best, best_pair
+
+
 def _oracle_min_beta(ctx: _AuditContext, alpha: float
                      ) -> Tuple[float, Optional[BlockingWitness]]:
     s = coalition_size(ctx.inst, alpha)
-    n = ctx.inst.n
-    if s > n or ctx.m == 0:
+    if s > ctx.inst.n or ctx.m == 0:
         return 0.0, None
-    best = -1.0
-    best_pair = None
-    for j in range(ctx.m):
-        dv = ctx.DT[j]
-        for combo in itertools.combinations(range(n), s):
-            idx = list(combo)
-            num = float(ctx.dY[idx].sum())
-            den = float(dv[idx].sum())
-            if den <= ctx.zero_tol:
-                if num > TOL * max(1.0, num):
-                    return math.inf, _witness_from_column(ctx, j, idx)
-                continue
-            ratio = num / den
-            if ratio > best:
-                best = ratio
-                best_pair = (j, idx)
-    if best_pair is None:
+    best, pair = _oracle_best_ratio(ctx, s, range(ctx.m))
+    if pair is None:
         return 0.0, None
-    return max(best, 0.0), _witness_from_column(ctx, *best_pair)
+    return max(best, 0.0), _witness_from_column(ctx, *pair)
 
 
 def _oracle_max_size(ctx: _AuditContext, beta: float
@@ -614,12 +634,10 @@ def _oracle_max_size(ctx: _AuditContext, beta: float
     if s_min > n or ctx.m == 0:
         return 0, None
     for size in range(n, s_min - 1, -1):
+        combos = _combos(n, size)
+        cy = ctx.dY[combos].sum(axis=1)
         for j in range(ctx.m):
-            dv = ctx.DT[j]
-            for combo in itertools.combinations(range(n), size):
-                idx = list(combo)
-                cy = float(ctx.dY[idx].sum())
-                cd = beta * float(dv[idx].sum())
-                if _blocking_margin(np.asarray(cy), np.asarray(cd)):
-                    return size, _witness_from_column(ctx, j, idx)
+            blocking = _blocking_margin(cy, beta * ctx.DT[j][combos].sum(axis=1))
+            if blocking.any():
+                return size, _witness_from_column(ctx, j, combos[int(np.argmax(blocking))])
     return 0, None

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, ValidationError
 from .instance import Clustering, Instance
-from .metric import EUCLIDEAN, PointRef, cross_distances
+from .metric import _ROWS, EUCLIDEAN, PointRef, cross_distances
 
 KMEANS = "kmeans"
 KMEDIANS = "kmedians"
@@ -62,7 +62,11 @@ def point_costs(inst: Instance, pts_a: Sequence[PointRef],
     if obj == KMEDIANS and kind == EUCLIDEAN:
         a = _as_matrix(pts_a)
         b = _as_matrix(pts_b)
-        return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
+        # Row blocks bound the tensor as in cross_distances, with the same bits.
+        out = np.empty((len(a), len(b)))
+        for lo in range(0, len(a), _ROWS):
+            out[lo:lo + _ROWS] = np.abs(a[lo:lo + _ROWS, None, :] - b[None, :, :]).sum(axis=2)
+        return out
     d = cross_distances(inst.space, pts_a, pts_b)
     if obj == KMEANS:
         return d * d
@@ -80,10 +84,27 @@ def social_cost(inst: Instance, clustering: Clustering, obj: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _assign_dists(pts: np.ndarray, centers: np.ndarray, metric: str) -> np.ndarray:
-    diff = pts[:, None, :] - centers[None, :, :]
-    if metric == KMEDIANS:
-        return np.abs(diff).sum(axis=2)
-    return (diff * diff).sum(axis=2)  # squared 2-norm; argmin matches 2-norm
+    """n x k table of squared 2-norm (kmeans) or 1-norm (kmedians) distances.
+
+    Below 8 coordinates numpy sums the short last axis of the difference
+    tensor left to right, so adding one coordinate at a time gives the same
+    bits without the n x k x d tensor.  From 8 on it sums pairwise, so the
+    tensor expression stays.
+    """
+    d = pts.shape[1]
+    if d >= 8:
+        diff = pts[:, None, :] - centers[None, :, :]
+        if metric == KMEDIANS:
+            return np.abs(diff).sum(axis=2)
+        return (diff * diff).sum(axis=2)  # squared 2-norm; argmin matches 2-norm
+    out = np.zeros((pts.shape[0], centers.shape[0]))
+    for q in range(d):
+        diff = pts[:, q, None] - centers[None, :, q]
+        if metric == KMEDIANS:
+            out += np.abs(diff)
+        else:
+            out += diff * diff
+    return out
 
 
 def _seed_pp(pts: np.ndarray, k: int, rng: np.random.Generator,
@@ -116,27 +137,36 @@ def _seed_pp(pts: np.ndarray, k: int, rng: np.random.Generator,
 def _lloyd_once(pts: np.ndarray, k: int, rng: np.random.Generator, metric: str,
                 max_iter: int, tol: float) -> Tuple[np.ndarray, float, List[float]]:
     centers = _seed_pp(pts, k, rng, metric)
+    n, d = pts.shape
     trace: List[float] = []
     for _ in range(max_iter):
         dists = _assign_dists(pts, centers, metric)
         assign = dists.argmin(axis=1)
-        # revive empty clusters at the point farthest from its current center
-        current = dists[np.arange(len(pts)), assign]
-        for c in range(k):
-            if not (assign == c).any():
-                far = int(np.argmax(current))
-                centers[c] = pts[far]
-                assign[far] = c
-                current[far] = 0.0
-        obj = float(current.sum())
-        trace.append(obj)
-        new_centers = centers.copy()
-        for c in range(k):
-            members = pts[assign == c]
-            if metric == KMEDIANS:
-                new_centers[c] = np.median(members, axis=0)
-            else:
-                new_centers[c] = members.mean(axis=0)
+        current = dists[np.arange(n), assign]
+        counts = np.bincount(assign, minlength=k)
+        if not counts.all():
+            # revive empty clusters at the point farthest from its current center
+            for c in range(k):
+                if not (assign == c).any():
+                    far = int(np.argmax(current))
+                    centers[c] = pts[far]
+                    assign[far] = c
+                    current[far] = 0.0
+            counts = np.bincount(assign, minlength=k)
+        trace.append(float(current.sum()))
+        if metric == KMEANS and d > 1:
+            # bincount adds each cluster's members in index order, as
+            # members.mean(axis=0) does row by row over several columns.
+            new_centers = np.stack(
+                [np.bincount(assign, weights=pts[:, q], minlength=k)
+                 for q in range(d)], axis=1) / counts[:, None]
+        else:
+            # np.median per cluster; and numpy sums a single column
+            # pairwise, which bincount does not reproduce.
+            reduce = np.median if metric == KMEDIANS else np.mean
+            new_centers = centers.copy()
+            for c in range(k):
+                new_centers[c] = reduce(pts[assign == c], axis=0)
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
         if shift < tol:

@@ -30,7 +30,8 @@ import numpy as np
 from . import algorithms as alg
 from . import baselines as base
 from .audit import (audit as run_audit, coalition_size, is_in_core,
-                    max_blocking_size, min_beta, oracle_audit, _AuditContext)
+                    max_blocking_size, min_beta, oracle_audit, _AuditContext,
+                    _oracle_best_ratio)
 from .errors import CoreclustError, ParameterError, ValidationError
 from .instance import (CONTINUOUS_LINE, Clustering, GENERATORS, Instance,
                        gen_broom_tree, gen_clique, gen_k4,
@@ -758,25 +759,6 @@ def suite_kmedians_unfair(trials: int = 0, seed: int = 0) -> SuiteResult:
     return s.result()
 
 
-def _enumerated_best_ratio(inst: Instance, clustering: Clustering, size: int,
-                           dev_col: int) -> float:
-    """Test-grade enumeration of the best coalition ratio at a fixed size."""
-    import itertools
-    ctx = _AuditContext(inst, clustering)
-    dv = ctx.DT[dev_col]
-    best = 0.0
-    for combo in itertools.combinations(range(inst.n), size):
-        idx = list(combo)
-        num = float(ctx.dY[idx].sum())
-        den = float(dv[idx].sum())
-        if den <= ctx.zero_tol:
-            if num > 1e-9:
-                return math.inf
-            continue
-        best = max(best, num / den)
-    return best
-
-
 def suite_oracle(trials: int = 1000, seed: int = 0) -> SuiteResult:
     """Fast audit vs. exhaustive oracle on small instances, plus the
     size-monotonicity of best coalition ratios."""
@@ -834,7 +816,7 @@ def suite_oracle(trials: int = 1000, seed: int = 0) -> SuiteResult:
             continue
         col = int(rng.integers(0, ctx.m))
         smin = coalition_size(inst, 1.0)
-        ratios = [_enumerated_best_ratio(inst, clustering, size, col)
+        ratios = [max(_oracle_best_ratio(ctx, size, [col])[0], 0.0)
                   for size in range(smin, n + 1)]
         ok = all(ratios[i] >= ratios[i + 1] - 1e-9 for i in range(len(ratios) - 1))
         s.expect(ok, inst, clustering, "best ratio non-increasing in size",

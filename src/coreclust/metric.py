@@ -183,8 +183,13 @@ class Space:
     def check_point(self, p: PointRef) -> None:
         """Raise ValidationError when p is not a valid point of this space."""
         if self.kind == LINE:
-            if not isinstance(p, (int, float)) or isinstance(p, bool) or not math.isfinite(p):
-                raise ValidationError(f"line point must be a finite real number, got {p!r}")
+            try:
+                if not isinstance(p, (int, float)) or isinstance(p, bool) or not math.isfinite(p):
+                    raise ValidationError(f"line point must be a finite real number, got {p!r}")
+            except OverflowError:  # math.isfinite of an int beyond the float range
+                raise ValidationError(
+                    "line point must be a finite real number, got an integer "
+                    "beyond the float range") from None
         elif self.kind == EUCLIDEAN:
             if not isinstance(p, (tuple, list, np.ndarray)) or len(p) != self.dim:
                 raise ValidationError(f"euclidean point must have dim {self.dim}, got {p!r}")

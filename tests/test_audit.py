@@ -361,6 +361,116 @@ def test_oracle_size_limits():
         oracle_audit(inst, Clustering(centers=[0.0, 1.0]))
 
 
+def _loop_oracle_min_beta(ctx, alpha):
+    s = coalition_size(ctx.inst, alpha)
+    n = ctx.inst.n
+    if s > n or ctx.m == 0:
+        return 0.0, None
+    best = -1.0
+    best_pair = None
+    for j in range(ctx.m):
+        dv = ctx.DT[j]
+        for combo in itertools.combinations(range(n), s):
+            idx = list(combo)
+            num = float(ctx.dY[idx].sum())
+            den = float(dv[idx].sum())
+            if den <= ctx.zero_tol:
+                if num > TOL * max(1.0, num):
+                    return math.inf, audit_mod._witness_from_column(ctx, j, idx)
+                continue
+            ratio = num / den
+            if ratio > best:
+                best = ratio
+                best_pair = (j, idx)
+    if best_pair is None:
+        return 0.0, None
+    return max(best, 0.0), audit_mod._witness_from_column(ctx, *best_pair)
+
+
+def _loop_oracle_max_size(ctx, beta):
+    n = ctx.inst.n
+    s_min = coalition_size(ctx.inst, 1.0)
+    if s_min > n or ctx.m == 0:
+        return 0, None
+    for size in range(n, s_min - 1, -1):
+        for j in range(ctx.m):
+            dv = ctx.DT[j]
+            for combo in itertools.combinations(range(n), size):
+                idx = list(combo)
+                cy = float(ctx.dY[idx].sum())
+                cd = beta * float(dv[idx].sum())
+                if audit_mod._blocking_margin(np.asarray(cy), np.asarray(cd)):
+                    return size, audit_mod._witness_from_column(ctx, j, idx)
+    return 0, None
+
+
+def _oracle_equivalence_cases():
+    rng = np.random.default_rng(16)
+    for _ in range(12):
+        n = int(rng.integers(4, 13))
+        coords = [float(x) for x in rng.integers(0, 5, size=n)]
+        cands = CONTINUOUS_LINE if rng.random() < 0.3 else sorted(set(coords))
+        inst = line_instance(coords, k=int(rng.integers(1, 4)), candidates=cands)
+        yield "integer-line", inst, random_clustering(rng, inst)
+    # three agents at a free point and two centers far away: an inf trap
+    trap = line_instance([0, 0, 0, 9, 10, 10], k=2, candidates=[0.0, 9.0, 10.0])
+    yield "line-trap", trap, Clustering(centers=[9.0, 10.0])
+    yield "kmedians-trap", gen_kmedians_bad(3), Clustering(centers=[2.0, 1e6, 2e6])
+    makers = [
+        ("tree", lambda: random_tree_instance(rng, n_max=12, v_max=10)),
+        ("unit-tree", lambda: random_tree_instance(rng, n_max=12, v_max=8,
+                                                   unit_weights=True)),
+        ("euclidean", lambda: random_euclidean_instance(rng, n_max=9)),
+        ("matrix", lambda: random_matrix_instance(rng, n_max=9)),
+    ]
+    for label, make in makers:
+        for inst, clustering in _oracle_instances(rng, lambda _: make(), 5):
+            yield label, inst, clustering
+    grid = [(float(x), float(y)) for x in range(3) for y in range(3)]
+    grid_inst = Instance(space=Space.euclidean(2), agents=grid + grid[:1],
+                         candidates=grid, k=3)
+    yield "euclidean-grid-ties", grid_inst, random_clustering(rng, grid_inst)
+    for n, k in ((6, 2), (10, 3)):
+        base = gen_clique(n)
+        inst = Instance(space=base.space, agents=base.agents,
+                        candidates=base.candidates, k=k)
+        yield "clique-ties", inst, random_clustering(rng, inst)
+    # vertices 0-2 at zero distance from each other: zero denominators
+    zero = np.ones((6, 6)) - np.eye(6)
+    zero[:3, :3] = 0.0
+    zinst = Instance(space=Space.from_matrix(zero), agents=[0, 0, 1, 2, 3, 4, 5],
+                     candidates=list(range(6)), k=2)
+    yield "matrix-zero-trap", zinst, Clustering(centers=[3, 4])
+    line16 = line_instance([float(x) for x in rng.integers(0, 9, size=16)], k=4,
+                           candidates=[float(x) for x in range(9)])
+    yield "line-n16", line16, random_clustering(rng, line16)
+
+
+def test_oracle_matches_loop_enumeration():
+    """oracle_audit's array scan gives the values and witnesses of the
+    plain per-coalition loop, ties and zero-denominator traps included."""
+    seen = set()
+    for label, inst, clustering in _oracle_equivalence_cases():
+        ctx = audit_mod._AuditContext(inst, clustering)
+        assert inst.n <= 16 and ctx.m <= 16, label
+        # one query at n=16, where the loop takes about a second
+        queries = ((1.0, 1.0), (1.5, 1.3), (2.0, 2.0))[:1 if inst.n > 12 else 3]
+        for alpha, beta in queries:
+            got = oracle_audit(inst, clustering, alpha=alpha, beta=beta)
+            bmin, bwit = _loop_oracle_min_beta(ctx, alpha)
+            smax, swit = _loop_oracle_max_size(ctx, beta)
+            assert got.beta_min == bmin, label
+            assert got.s_max == smax, label
+            for a, b in ((got.beta_witness, bwit), (got.s_witness, swit)):
+                assert (a is None) == (b is None), label
+                if a is not None:
+                    assert a.to_json() == b.to_json(), label
+            if math.isinf(bmin):
+                seen.add("inf")
+        seen.add(label)
+    assert {"inf", "line-n16", "matrix", "tree", "euclidean"} <= seen
+
+
 # ---------------------------------------------------------------------------
 # monotonicity
 # ---------------------------------------------------------------------------

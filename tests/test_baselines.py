@@ -1,9 +1,12 @@
 """k-means++/k-medians baselines and the medoid optimizer."""
+import warnings
+
 import numpy as np
 import pytest
 
 from coreclust.baselines import (KMEANS, KMEDIANS, MEDOID, kmeans_pp,
-                                 lloyd_kmedians, medoid_opt, social_cost)
+                                 lloyd_kmedians, medoid_opt, point_costs,
+                                 social_cost)
 from coreclust.errors import ParameterError, ValidationError
 from coreclust.instance import Clustering, Instance, gen_kmedians_bad
 from coreclust.metric import Space
@@ -164,3 +167,129 @@ def test_social_cost_kmedians_is_manhattan():
     assert social_cost(inst, clustering, KMEDIANS) == pytest.approx(2.0)
     assert social_cost(inst, clustering, KMEANS) == pytest.approx(2.0)
     assert social_cost(inst, clustering, MEDOID) == pytest.approx(np.sqrt(2))
+
+
+# ---------------------------------------------------------------------------
+# Lloyd iterations against the per-cluster loop they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_assign_dists(pts, centers, metric):
+    diff = pts[:, None, :] - centers[None, :, :]
+    if metric == KMEDIANS:
+        return np.abs(diff).sum(axis=2)
+    return (diff * diff).sum(axis=2)
+
+
+def _ref_seed_pp(pts, k, rng, metric):
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = pts[first]
+    d2 = _ref_assign_dists(pts, centers[:1], metric).min(axis=1)
+    if metric == KMEDIANS:
+        d2 = d2 * d2
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(np.searchsorted(np.cumsum(d2 / total), rng.random(),
+                                      side="right"))
+            idx = min(idx, n - 1)
+        centers[c] = pts[idx]
+        dnew = _ref_assign_dists(pts, centers[c:c + 1], metric).min(axis=1)
+        if metric == KMEDIANS:
+            dnew = dnew * dnew
+        d2 = np.minimum(d2, dnew)
+    return centers
+
+
+def _ref_lloyd_once(pts, k, rng, metric, max_iter, tol, revivals):
+    centers = _ref_seed_pp(pts, k, rng, metric)
+    trace = []
+    for _ in range(max_iter):
+        dists = _ref_assign_dists(pts, centers, metric)
+        assign = dists.argmin(axis=1)
+        current = dists[np.arange(len(pts)), assign]
+        for c in range(k):
+            if not (assign == c).any():
+                revivals.append(c)
+                far = int(np.argmax(current))
+                centers[c] = pts[far]
+                assign[far] = c
+                current[far] = 0.0
+        obj = float(current.sum())
+        trace.append(obj)
+        new_centers = centers.copy()
+        for c in range(k):
+            members = pts[assign == c]
+            if metric == KMEDIANS:
+                new_centers[c] = np.median(members, axis=0)
+            else:
+                new_centers[c] = members.mean(axis=0)
+        shift = float(np.abs(new_centers - centers).max())
+        centers = new_centers
+        if shift < tol:
+            break
+    dists = _ref_assign_dists(pts, centers, metric)
+    final_obj = float(dists.min(axis=1).sum())
+    trace.append(final_obj)
+    return centers, final_obj, trace
+
+
+def _ref_lloyd(pts, k, seed, restarts, metric, revivals):
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        centers, obj, trace = _ref_lloyd_once(pts, k, rng, metric, 100, 1e-6,
+                                              revivals)
+        if best is None or obj < best[1]:
+            best = (centers, obj, trace)
+    return best[0], best[2]
+
+
+def _lloyd_cases():
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 3, 9):
+        for n, k in ((40, 3), (300, 8), (257, 13)):
+            yield f"d{d}-n{n}-k{k}", rng.standard_normal((n, d)) * 7.3 + 2.0, k
+        # Four distinct locations, each repeated: seeding repeats a center,
+        # so every restart revives an empty cluster.  At k=6 a second
+        # revival takes the first's only point, and that cluster's center
+        # and the trace become NaN, on both sides alike.
+        dup = rng.standard_normal((4, d))[rng.integers(0, 4, 50)]
+        yield f"d{d}-dup-k5", dup, 5
+        yield f"d{d}-dup-k6", dup, 6
+        yield f"d{d}-int-dup", rng.integers(0, 3, size=(60, d)).astype(float), 5
+
+
+@pytest.mark.parametrize("fn, metric", [(kmeans_pp, KMEANS),
+                                        (lloyd_kmedians, KMEDIANS)])
+def test_lloyd_matches_per_cluster_loop(fn, metric):
+    finite_revival = False
+    for label, pts, k in _lloyd_cases():
+        points = ([float(p[0]) for p in pts] if pts.shape[1] == 1
+                  else [tuple(float(x) for x in p) for p in pts])
+        for seed in (0, 5):
+            revivals = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # the NaN cases
+                got, trace = fn(points, k, seed=seed, restarts=3,
+                                return_trace=True)
+                centers, ref_trace = _ref_lloyd(pts, k, seed, 3, metric, revivals)
+            got = np.asarray(got.centers, dtype=float).reshape(centers.shape)
+            assert np.array_equal(got, centers, equal_nan=True), label
+            assert np.array_equal(trace, ref_trace, equal_nan=True), label
+            finite_revival |= bool(revivals) and bool(np.isfinite(trace).all())
+    assert finite_revival, "no case revived an empty cluster with a finite trace"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 9])
+def test_blocked_kmedians_point_costs_match_one_shot(dim):
+    rng = np.random.default_rng(dim)
+    a = [tuple(p) for p in rng.standard_normal((600, dim)) * 1e3]
+    b = [tuple(p) for p in rng.standard_normal((70, dim))]
+    inst = Instance(space=Space.euclidean(dim), agents=a, candidates=b, k=2)
+    A, B = np.asarray(a), np.asarray(b)
+    one_shot = np.abs(A[:, None, :] - B[None, :, :]).sum(axis=2)
+    assert np.array_equal(point_costs(inst, a, b, KMEDIANS), one_shot)

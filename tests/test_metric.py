@@ -211,3 +211,10 @@ def test_blocked_euclidean_distances_match_one_shot(dim):
 def test_close_scales_with_magnitude():
     assert close(1e12, 1e12 + 1e2)
     assert not close(1.0, 1.001)
+
+
+@pytest.mark.parametrize("big", [10 ** 400, -(10 ** 400), 10 ** 5000],
+                         ids=["1e400", "-1e400", "1e5000"])
+def test_line_point_beyond_float_range_rejected(big):
+    with pytest.raises(ValidationError):
+        Space.line().check_point(big)
