@@ -11,7 +11,9 @@
 * alg_refined    -- two-stage refinement: greedy-ball clusters first, then a
                     proportional center budget per cluster optimized under a
                     social objective;
-* optimal_total_distance -- exact total-distance minimizer at desk scale.
+* optimal_total_distance -- exact total-distance minimizer at desk scale;
+* ALGORITHMS     -- the name -> procedure registry behind the CLI and the
+                    bench grid, with the k-means baselines.
 
 All procedures are pure functions of (instance, parameters, seed) with
 deterministic tie-breaking, so runs are reproducible and safe to execute
@@ -26,11 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .baselines import medoid_opt
+from .baselines import (KMEANS, KMEDIANS, _forward_select, kmeans_pp,
+                        lloyd_kmedians, medoid_opt)
 from .errors import ParameterError, SizeLimitError, ValidationError
 from .instance import Clustering, Instance
 from .metric import LINE, TREE, PointRef, cross_distances
@@ -39,6 +42,7 @@ __all__ = [
     "alg_line", "alg_tree", "alg_greedy_ball", "alg_mst_cover", "alg_refined",
     "optimal_total_distance", "greedy_fill", "proportional_budgets",
     "assign_agents", "GreedyTrace", "TraceEvent", "RefinedPlan", "ceil_div",
+    "ALGORITHMS",
 ]
 
 
@@ -51,12 +55,6 @@ def _check_lambda(lam: int, n: int) -> int:
     if not (1 <= lam <= n):
         raise ParameterError(f"lambda must be in [1, n={n}], got {lam}")
     return lam
-
-
-def _finite_candidates(inst: Instance) -> List[PointRef]:
-    if inst.continuous_candidates:
-        return sorted({float(a) for a in inst.agents})
-    return list(inst.candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +267,7 @@ def alg_greedy_ball(inst: Instance, fill: bool = True
     """
     if inst.continuous_candidates:
         raise ParameterError("alg_greedy_ball needs finite candidates; use alg_line")
-    cands = list(inst.candidates)
+    cands = inst.candidate_list()
     n, m, k = inst.n, len(cands), inst.k
     threshold = ceil_div(n, k)
     DT = cross_distances(inst.space, inst.agents, cands).T.copy()
@@ -374,7 +372,7 @@ def alg_mst_cover(inst: Instance) -> Clustering:
 
 def _hashable(p: PointRef):
     if isinstance(p, tuple):
-        return tuple(float(x) for x in p)
+        return tuple(map(float, p))
     if isinstance(p, (int, np.integer)):
         return int(p)
     return float(p)
@@ -433,8 +431,7 @@ def alg_refined(inst: Instance, obj: str = "kmeans", seed: int = 0
     """
     stage1, _ = alg_greedy_ball(inst, fill=False)
     centers1 = list(stage1.centers)
-    DC = cross_distances(inst.space, inst.agents, centers1)
-    assign = DC.argmin(axis=1)
+    assign = assign_agents(inst, stage1)
     clusters: List[List[int]] = [[] for _ in centers1]
     for i, c in enumerate(assign):
         clusters[int(c)].append(i)
@@ -465,7 +462,7 @@ def optimal_total_distance(inst: Instance) -> Clustering:
     at most 12 candidates) and all center subsets are enumerated.  Ties
     break to the lexicographically smallest candidate index tuple.
     """
-    cands = _finite_candidates(inst)
+    cands = inst.candidate_list()
     D = cross_distances(inst.space, inst.agents, cands)
     k = inst.k
     if k == 1:
@@ -498,32 +495,58 @@ def optimal_total_distance(inst: Instance) -> Clustering:
 def greedy_fill(inst: Instance, centers: List[PointRef]) -> List[PointRef]:
     """Top a partial center list up to k: each step adds the candidate that
     most reduces total agent distance, ties to the lowest candidate index."""
-    cands = _finite_candidates(inst)
     need = inst.k - len(centers)
     if need <= 0:
         return list(centers)
+    cands = inst.candidate_list()
     D = cross_distances(inst.space, inst.agents, cands)
     if centers:
         cur = cross_distances(inst.space, inst.agents, centers).min(axis=1)
     else:
         cur = np.full(inst.n, math.inf)
-    chosen = {_hashable(c) for c in centers}
-    out = list(centers)
-    for _ in range(need):
-        costs = np.minimum(cur[:, None], D).sum(axis=0)
-        allowed = np.array([_hashable(c) not in chosen for c in cands])
-        if allowed.any():
-            masked = np.where(allowed, costs, math.inf)
-            j = int(np.argmin(masked))
-        else:
-            j = 0
-        out.append(cands[j])
-        chosen.add(_hashable(cands[j]))
-        cur = np.minimum(cur, D[:, j])
-    return out
+    # Candidates at one location share a group: the first index holding it.
+    first: dict = {}
+    group = np.array([first.setdefault(_hashable(c), j) for j, c in enumerate(cands)])
+    taken = np.zeros(len(cands), dtype=bool)
+    taken[[first[h] for h in map(_hashable, centers) if h in first]] = True
+    picks = _forward_select(D, cur, need, ~taken[group], group)
+    return list(centers) + [cands[j] for j in picks]
 
 
 def assign_agents(inst: Instance, clustering: Clustering) -> np.ndarray:
     """Index of the nearest center per agent (ties to the lowest index)."""
     D = cross_distances(inst.space, inst.agents, list(clustering.centers))
     return D.argmin(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# registry
+# ---------------------------------------------------------------------------
+
+def _quantile(place: Callable[[Instance, int], Clustering]):
+    return lambda inst, seed=0, lam=None: (
+        place(inst, ceil_div(inst.n, inst.k) if lam is None else lam), None)
+
+
+def _refined(obj: str):
+    return lambda inst, seed=0, lam=None: (alg_refined(inst, obj, seed)[0], None)
+
+
+def _lloyd(fit: Callable[..., Clustering]):
+    return lambda inst, seed=0, lam=None: (fit(inst.agents, inst.k, seed=seed), None)
+
+
+# name -> f(inst, seed=0, lam=None) -> (Clustering, GreedyTrace or None).
+# lam is the line/tree quantile step, ceil(n/k) when None; the others
+# ignore it, and only greedy returns a trace.
+ALGORITHMS: Dict[str, Callable[..., Tuple[Clustering, Optional[GreedyTrace]]]] = {
+    "line": _quantile(alg_line),
+    "tree": _quantile(alg_tree),
+    "greedy": lambda inst, seed=0, lam=None: alg_greedy_ball(inst),
+    "mst": lambda inst, seed=0, lam=None: (alg_mst_cover(inst), None),
+    "refined": _refined(KMEANS),
+    "refined-kmeans": _refined(KMEANS),
+    "refined-kmedians": _refined(KMEDIANS),
+    "kmeans": _lloyd(kmeans_pp),
+    "kmedians": _lloyd(lloyd_kmedians),
+}

@@ -180,7 +180,7 @@ class _AuditContext:
         d_to_centers = cross_distances(inst.space, inst.agents, self.centers)
         self.dY = d_to_centers.min(axis=1)
         if inst.continuous_candidates:
-            coords = sorted({float(a) for a in inst.agents})
+            coords = inst.candidate_list()
             x = np.asarray(coords)
             centers = np.asarray([float(c) for c in self.centers])
             free = np.abs(x[:, None] - centers).min(axis=1) > TOL * np.maximum(1.0, np.abs(x))
@@ -189,7 +189,7 @@ class _AuditContext:
             self.DT = cross_distances(inst.space, inst.agents, devs).T.copy() \
                 if devs else np.zeros((0, n))
         else:
-            cands = list(inst.candidates)
+            cands = inst.candidate_list()
             DT = cross_distances(inst.space, inst.agents, cands).T.copy()
             CT = d_to_centers.T.copy()
             # A candidate is used when its profile matches a center's on

@@ -18,7 +18,7 @@ two-stage procedure.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,14 +145,16 @@ def _lloyd_once(pts: np.ndarray, k: int, rng: np.random.Generator, metric: str,
         current = dists[np.arange(n), assign]
         counts = np.bincount(assign, minlength=k)
         if not counts.all():
-            # revive empty clusters at the point farthest from its current center
-            for c in range(k):
-                if not (assign == c).any():
-                    far = int(np.argmax(current))
-                    centers[c] = pts[far]
-                    assign[far] = c
-                    current[far] = 0.0
-            counts = np.bincount(assign, minlength=k)
+            # Revive each empty cluster at the point farthest from its
+            # center among clusters that keep another member, so that no
+            # revival empties a cluster (one always has two while k <= n).
+            for c in np.flatnonzero(counts == 0):
+                far = int(np.argmax(np.where(counts[assign] > 1, current, -math.inf)))
+                counts[assign[far]] -= 1
+                counts[c] = 1
+                centers[c] = pts[far]
+                assign[far] = c
+                current[far] = 0.0
         trace.append(float(current.sum()))
         if metric == KMEANS and d > 1:
             # bincount adds each cluster's members in index order, as
@@ -240,27 +242,41 @@ def medoid_opt(inst: Instance, subset: Sequence[int], k_i: int, obj: str,
         raise ValidationError("medoid_opt needs a non-empty agent subset")
     if k_i < 1:
         raise ParameterError(f"need k_i >= 1, got {k_i}")
-    if inst.continuous_candidates:
-        cands: List[PointRef] = sorted({float(a) for a in inst.agents})
-    else:
-        cands = list(inst.candidates)
+    cands = inst.candidate_list()
     pts = [inst.agents[i] for i in subset]
     C = point_costs(inst, pts, cands, obj)
-    m = C.shape[1]
-
-    chosen: List[int] = []
-    cur = np.full(len(subset), math.inf)
-    for _ in range(min(k_i, m)):
-        totals = np.minimum(cur[:, None], C).sum(axis=0)
-        j = int(np.argmin(totals))
-        chosen.append(j)
-        cur = np.minimum(cur, C[:, j])
+    chosen = _forward_select(C, np.full(len(subset), math.inf), min(k_i, C.shape[1]))
     while len(chosen) < k_i:
         chosen.append(chosen[0])  # duplicates allowed when k_i exceeds candidates
 
     if k_i >= 2:
         chosen = _swap_improve(C, chosen)
     return [cands[j] for j in chosen]
+
+
+def _forward_select(C: np.ndarray, cur: np.ndarray, steps: int,
+                    allowed: Optional[np.ndarray] = None,
+                    group: Optional[np.ndarray] = None) -> List[int]:
+    """Greedy forward selection over the columns of C (agents x candidates).
+
+    Each step picks the column that minimizes sum(min(cur, C[:, j])), ties
+    to the lowest index, and lowers cur to it.  With an `allowed` mask only
+    allowed columns are picked, and a pick disallows every column of its
+    `group`; once none is allowed, the pick is column 0.
+    """
+    chosen: List[int] = []
+    for _ in range(steps):
+        totals = np.minimum(cur[:, None], C).sum(axis=0)
+        if allowed is None:
+            j = int(np.argmin(totals))
+        elif allowed.any():
+            j = int(np.argmin(np.where(allowed, totals, math.inf)))
+            allowed = allowed & (group != group[j])
+        else:
+            j = 0
+        chosen.append(j)
+        cur = np.minimum(cur, C[:, j])
+    return chosen
 
 
 def _swap_improve(C: np.ndarray, chosen: List[int]) -> List[int]:

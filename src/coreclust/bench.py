@@ -23,6 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -128,10 +129,7 @@ def random_metric_instance(rng: np.random.Generator, n_max_euc: int = 60,
 
 def random_clustering(rng: np.random.Generator, inst: Instance) -> Clustering:
     """k distinct candidate locations (agent coordinates on the line)."""
-    if inst.continuous_candidates:
-        pool: List = sorted({float(a) for a in inst.agents})
-    else:
-        pool = list(inst.candidates)
+    pool = inst.candidate_list()
     k = inst.k
     if len(pool) >= k:
         picks = rng.choice(len(pool), size=k, replace=False)
@@ -187,31 +185,19 @@ def derive_seed(master: int, dataset: str, algorithm: str, k: int) -> int:
 
 
 def run_algorithm(inst: Instance, name: str, seed: int = 0) -> Clustering:
-    """Dispatch an algorithm by CLI name on an instance."""
-    n, k = inst.n, inst.k
-    if name == "line":
-        return alg.alg_line(inst, alg.ceil_div(n, k))
-    if name == "tree":
-        return alg.alg_tree(inst, alg.ceil_div(n, k))
-    if name == "greedy":
-        return alg.alg_greedy_ball(inst)[0]
-    if name == "mst":
-        return alg.alg_mst_cover(inst)
-    if name in ("refined", "refined-kmeans"):
-        return alg.alg_refined(inst, base.KMEANS, seed=seed)[0]
-    if name == "refined-kmedians":
-        return alg.alg_refined(inst, base.KMEDIANS, seed=seed)[0]
-    if name == "kmeans":
-        return base.kmeans_pp(inst.agents, k, seed=seed)
-    if name == "kmedians":
-        return base.lloyd_kmedians(inst.agents, k, seed=seed)
-    raise ParameterError(f"unknown algorithm {name!r}")
+    """Run the algorithm registered under `name` (see alg.ALGORITHMS)."""
+    if name not in alg.ALGORITHMS:
+        raise ParameterError(f"unknown algorithm {name!r}")
+    return alg.ALGORITHMS[name](inst, seed=seed)[0]
 
 
-def _compute_row(args) -> ExperimentRow:
+def _compute_row(args) -> Tuple[ExperimentRow, Optional[Clustering]]:
+    """One grid cell: its row, and its clustering (None when the algorithm
+    raised)."""
     inst, dataset, name, k, row_seed = args
     inst_k = inst.with_k(k)
     row = ExperimentRow(dataset=dataset, algorithm=name, k=k, seed=row_seed)
+    clustering = None
     try:
         t0 = time.perf_counter()
         clustering = run_algorithm(inst_k, name, seed=row_seed)
@@ -223,7 +209,21 @@ def _compute_row(args) -> ExperimentRow:
         row.social_cost_kmedians = base.social_cost(inst_k, clustering, base.KMEDIANS)
     except CoreclustError as exc:
         row.error = str(exc)
-    return row
+    return row, clustering
+
+
+def _grid(datasets: Sequence[Tuple[str, Instance]], algorithms: Sequence[str],
+          ks: Sequence[int], seed: int) -> List[tuple]:
+    return [(inst, label, name, k, derive_seed(seed, label, name, k))
+            for label, inst in datasets for name in algorithms for k in ks]
+
+
+def _run_cells(tasks: List[tuple], jobs: Optional[int]
+               ) -> List[Tuple[ExperimentRow, Optional[Clustering]]]:
+    if jobs is not None and jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_compute_row, tasks))
+    return [_compute_row(t) for t in tasks]
 
 
 def run_comparison(datasets: Sequence[Tuple[str, Instance]],
@@ -232,19 +232,8 @@ def run_comparison(datasets: Sequence[Tuple[str, Instance]],
                    ) -> List[ExperimentRow]:
     """One row per (dataset, algorithm, k): audits at alpha=1 / beta=1 plus
     both social costs.  Per-cell failures land in the row's error field."""
-    ks = list(k_range)
-    tasks = []
-    for label, inst in datasets:
-        for name in algorithms:
-            for k in ks:
-                tasks.append((inst, label, name, k,
-                              derive_seed(seed, label, name, k)))
-    if jobs is not None and jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_compute_row, tasks))
-    else:
-        rows = [_compute_row(t) for t in tasks]
-    return rows
+    tasks = _grid(datasets, algorithms, list(k_range), seed)
+    return [row for row, _ in _run_cells(tasks, jobs)]
 
 
 def emit_table(rows: Sequence[ExperimentRow], path: str, format: str = "csv") -> None:
@@ -372,7 +361,9 @@ def run_bench(config: dict, outdir: str, jobs: Optional[int] = None) -> List[Exp
     algorithms = list(config["algorithms"])
     lo, hi = config["k_range"]
     ks = list(range(int(lo), int(hi) + 1))
-    rows = run_comparison(datasets, algorithms, ks, seed=seed, jobs=jobs)
+    tasks = _grid(datasets, algorithms, ks, seed)
+    cells = _run_cells(tasks, jobs)
+    rows = [row for row, _ in cells]
 
     os.makedirs(outdir, exist_ok=True)
     plots_dir = os.path.join(outdir, "plots")
@@ -380,21 +371,16 @@ def run_bench(config: dict, outdir: str, jobs: Optional[int] = None) -> List[Exp
     emit_table(rows, os.path.join(outdir, "rows.csv"), "csv")
     emit_table(rows, os.path.join(outdir, "rows.json"), "json")
 
-    for label, inst in datasets:
+    for (inst, label, name, k, _), (_, clustering) in zip(tasks, cells):
+        if clustering is None or inst.space.kind not in (EUCLIDEAN, LINE):
+            continue
         if inst.space.kind == EUCLIDEAN and inst.space.dim != 2:
             continue
-        if inst.space.kind not in (EUCLIDEAN, LINE):
+        try:
+            render_clusters_svg(inst.with_k(k), clustering,
+                                os.path.join(plots_dir, f"{label}_{name}_k{k}.svg"))
+        except CoreclustError:
             continue
-        for name in algorithms:
-            for k in ks:
-                inst_k = inst.with_k(k)
-                try:
-                    clustering = run_algorithm(inst_k, name,
-                                               seed=derive_seed(seed, label, name, k))
-                    render_clusters_svg(inst_k, clustering,
-                                        os.path.join(plots_dir, f"{label}_{name}_k{k}.svg"))
-                except CoreclustError:
-                    continue
 
     with open(os.path.join(outdir, "report.txt"), "w") as fh:
         fh.write(_report_text(rows))
@@ -501,64 +487,37 @@ def suite_greedy_beta_bound(trials: int = 200, seed: int = 0) -> SuiteResult:
     return s.result()
 
 
-def suite_line_beta_bound(trials: int = 200, seed: int = 0) -> SuiteResult:
-    """Line quantile placement: beta bounds for both quantile steps."""
-    s = _Suite("line-beta-bound")
+def _quantile_beta_bound(name: str, sampler: Callable[..., Instance],
+                         place: Callable[[Instance, int], Clustering],
+                         trials: int = 200, seed: int = 0) -> SuiteResult:
+    """Quantile placement (alg_line on the line, alg_tree on trees): beta
+    bounds for both quantile steps."""
+    s = _Suite(name)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        inst = random_line_instance(rng)
+        inst = sampler(rng)
         n, k = inst.n, inst.k
-        y1 = alg.alg_line(inst, alg.ceil_div(n, k))
+        y1 = place(inst, alg.ceil_div(n, k))
         b1, _ = min_beta(inst, y1, 1.0)
         s.expect(b1 <= alg.ceil_div(n, k) - 1 + EPS, inst, y1,
-                 "alg_line(ceil(n/k)): beta_min <= ceil(n/k)-1", b1,
+                 f"{place.__name__}(ceil(n/k)): beta_min <= ceil(n/k)-1", b1,
                  alg.ceil_div(n, k) - 1)
-        y2 = alg.alg_line(inst, alg.ceil_div(n, k + 1))
+        y2 = place(inst, alg.ceil_div(n, k + 1))
         b2, _ = min_beta(inst, y2, 1.0)
         s.expect(b2 <= k + EPS, inst, y2,
-                 "alg_line(ceil(n/(k+1))): beta_min <= k", b2, k)
+                 f"{place.__name__}(ceil(n/(k+1))): beta_min <= k", b2, k)
     return s.result()
 
 
-def suite_tree_beta_bound(trials: int = 200, seed: int = 0) -> SuiteResult:
-    """Tree subtree-threshold placement: same beta bounds as the line."""
-    s = _Suite("tree-beta-bound")
+def _quantile_two_one_core(name: str, sampler: Callable[..., Instance],
+                           place: Callable[[Instance, int], Clustering],
+                           trials: int = 200, seed: int = 0) -> SuiteResult:
+    """Quantile placement with step ceil(n/k) blocks no coalition of 2n/k."""
+    s = _Suite(name)
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        inst = random_tree_instance(rng)
-        n, k = inst.n, inst.k
-        y1 = alg.alg_tree(inst, alg.ceil_div(n, k))
-        b1, _ = min_beta(inst, y1, 1.0)
-        s.expect(b1 <= alg.ceil_div(n, k) - 1 + EPS, inst, y1,
-                 "alg_tree(ceil(n/k)): beta_min <= ceil(n/k)-1", b1,
-                 alg.ceil_div(n, k) - 1)
-        y2 = alg.alg_tree(inst, alg.ceil_div(n, k + 1))
-        b2, _ = min_beta(inst, y2, 1.0)
-        s.expect(b2 <= k + EPS, inst, y2,
-                 "alg_tree(ceil(n/(k+1))): beta_min <= k", b2, k)
-    return s.result()
-
-
-def suite_line_two_one_core(trials: int = 200, seed: int = 0) -> SuiteResult:
-    """Line placement with step ceil(n/k) blocks no coalition of 2n/k."""
-    s = _Suite("line-two-one-core")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        inst = random_line_instance(rng)
-        clustering = alg.alg_line(inst, alg.ceil_div(inst.n, inst.k))
-        smax, _ = max_blocking_size(inst, clustering, 1.0)
-        s.expect(smax < 2 * inst.n / inst.k, inst, clustering,
-                 "s_max(beta=1) < 2n/k", smax, 2 * inst.n / inst.k)
-    return s.result()
-
-
-def suite_tree_two_one_core(trials: int = 200, seed: int = 0) -> SuiteResult:
-    """Tree placement with step ceil(n/k) blocks no coalition of 2n/k."""
-    s = _Suite("tree-two-one-core")
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        inst = random_tree_instance(rng)
-        clustering = alg.alg_tree(inst, alg.ceil_div(inst.n, inst.k))
+        inst = sampler(rng)
+        clustering = place(inst, alg.ceil_div(inst.n, inst.k))
         smax, _ = max_blocking_size(inst, clustering, 1.0)
         s.expect(smax < 2 * inst.n / inst.k, inst, clustering,
                  "s_max(beta=1) < 2n/k", smax, 2 * inst.n / inst.k)
@@ -859,10 +818,14 @@ def suite_gaussian(trials: int = 0, seed: int = 0) -> SuiteResult:
 
 SUITES: Dict[str, Callable[..., SuiteResult]] = {
     "greedy-beta-bound": suite_greedy_beta_bound,
-    "line-beta-bound": suite_line_beta_bound,
-    "tree-beta-bound": suite_tree_beta_bound,
-    "line-two-one-core": suite_line_two_one_core,
-    "tree-two-one-core": suite_tree_two_one_core,
+    "line-beta-bound": partial(_quantile_beta_bound, "line-beta-bound",
+                               random_line_instance, alg.alg_line),
+    "tree-beta-bound": partial(_quantile_beta_bound, "tree-beta-bound",
+                               random_tree_instance, alg.alg_tree),
+    "line-two-one-core": partial(_quantile_two_one_core, "line-two-one-core",
+                                 random_line_instance, alg.alg_line),
+    "tree-two-one-core": partial(_quantile_two_one_core, "tree-two-one-core",
+                                 random_tree_instance, alg.alg_tree),
     "line-tree-tradeoff": suite_line_tree_tradeoff,
     "greedy-tradeoff": suite_greedy_tradeoff,
     "mst-two-core": suite_mst_two_core,

@@ -14,7 +14,6 @@ from typing import List, Optional
 
 from . import algorithms as alg
 from .audit import audit as run_audit
-from . import baselines as base
 from . import bench
 from .errors import CoreclustError
 from .instance import (GENERATORS, load_clustering, load_instance,
@@ -72,13 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cluster", help="run an algorithm on an instance")
     c.add_argument("--instance", required=True)
-    c.add_argument("--alg", required=True,
-                   choices=["line", "tree", "greedy", "mst", "refined",
-                            "refined-kmeans", "refined-kmedians", "kmeans",
-                            "kmedians"])
+    c.add_argument("--alg", required=True, choices=list(alg.ALGORITHMS))
     c.add_argument("--lambda", dest="lam", type=int, default=None,
                    help="quantile step for line/tree (default ceil(n/k))")
-    c.add_argument("--obj", choices=["kmeans", "kmedians"], default="kmeans")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--trace", action="store_true",
                    help="also write the greedy ball trace next to --out")
@@ -119,23 +114,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_cluster(args) -> int:
     inst = load_instance(args.instance)
-    lam = args.lam if args.lam is not None else alg.ceil_div(inst.n, inst.k)
-    trace = None
-    if args.alg == "line":
-        clustering = alg.alg_line(inst, lam)
-    elif args.alg == "tree":
-        clustering = alg.alg_tree(inst, lam)
-    elif args.alg == "greedy":
-        clustering, trace = alg.alg_greedy_ball(inst)
-    elif args.alg in ("refined", "refined-kmeans", "refined-kmedians"):
-        obj = base.KMEDIANS if args.alg.endswith("kmedians") else args.obj
-        clustering, _ = alg.alg_refined(inst, obj, seed=args.seed)
-    elif args.alg == "mst":
-        clustering = alg.alg_mst_cover(inst)
-    elif args.alg == "kmeans":
-        clustering = base.kmeans_pp(inst.agents, inst.k, seed=args.seed)
-    else:
-        clustering = base.lloyd_kmedians(inst.agents, inst.k, seed=args.seed)
+    clustering, trace = alg.ALGORITHMS[args.alg](inst, seed=args.seed, lam=args.lam)
     save_clustering(clustering, inst.space, args.out)
     if args.trace and trace is not None:
         trace_path = args.out + ".trace.json"

@@ -67,6 +67,13 @@ class Instance:
     def n(self) -> int:
         return len(self.agents)
 
+    def candidate_list(self) -> List[PointRef]:
+        """The finite candidates, or the sorted distinct agent coordinates
+        on the continuous line."""
+        if self.continuous_candidates:
+            return sorted({float(a) for a in self.agents})
+        return list(self.candidates)
+
     def with_k(self, k: int) -> "Instance":
         return replace(self, k=k)
 

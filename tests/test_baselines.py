@@ -1,5 +1,4 @@
 """k-means++/k-medians baselines and the medoid optimizer."""
-import warnings
 
 import numpy as np
 import pytest
@@ -214,7 +213,9 @@ def _ref_lloyd_once(pts, k, rng, metric, max_iter, tol, revivals):
         for c in range(k):
             if not (assign == c).any():
                 revivals.append(c)
-                far = int(np.argmax(current))
+                # the farthest point among clusters that keep another member
+                sizes = np.bincount(assign, minlength=k)[assign]
+                far = int(np.argmax(np.where(sizes > 1, current, -np.inf)))
                 centers[c] = pts[far]
                 assign[far] = c
                 current[far] = 0.0
@@ -255,8 +256,7 @@ def _lloyd_cases():
             yield f"d{d}-n{n}-k{k}", rng.standard_normal((n, d)) * 7.3 + 2.0, k
         # Four distinct locations, each repeated: seeding repeats a center,
         # so every restart revives an empty cluster.  At k=6 a second
-        # revival takes the first's only point, and that cluster's center
-        # and the trace become NaN, on both sides alike.
+        # revival must not take the first's only point.
         dup = rng.standard_normal((4, d))[rng.integers(0, 4, 50)]
         yield f"d{d}-dup-k5", dup, 5
         yield f"d{d}-dup-k6", dup, 6
@@ -272,14 +272,12 @@ def test_lloyd_matches_per_cluster_loop(fn, metric):
                   else [tuple(float(x) for x in p) for p in pts])
         for seed in (0, 5):
             revivals = []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)  # the NaN cases
-                got, trace = fn(points, k, seed=seed, restarts=3,
-                                return_trace=True)
-                centers, ref_trace = _ref_lloyd(pts, k, seed, 3, metric, revivals)
+            got, trace = fn(points, k, seed=seed, restarts=3, return_trace=True)
+            centers, ref_trace = _ref_lloyd(pts, k, seed, 3, metric, revivals)
             got = np.asarray(got.centers, dtype=float).reshape(centers.shape)
-            assert np.array_equal(got, centers, equal_nan=True), label
-            assert np.array_equal(trace, ref_trace, equal_nan=True), label
+            assert np.isfinite(got).all() and np.isfinite(trace).all(), label
+            assert np.array_equal(got, centers), label
+            assert np.array_equal(trace, ref_trace), label
             finite_revival |= bool(revivals) and bool(np.isfinite(trace).all())
     assert finite_revival, "no case revived an empty cluster with a finite trace"
 

@@ -174,3 +174,46 @@ def test_random_clustering_centers_are_candidates():
     clustering = random_clustering(rng, inst)
     assert len(clustering.centers) == inst.k
     assert all(c in inst.candidates for c in clustering.centers)
+
+
+def test_run_bench_runs_each_cell_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from coreclust import algorithms as alg
+    from coreclust.bench import render_clusters_svg, run_algorithm
+    from coreclust.instance import gen_line_beta_lb
+    calls = Counter()
+    for name in ("line", "greedy", "kmeans"):
+        def counted(inst, seed=0, lam=None, _fn=alg.ALGORITHMS[name], _name=name):
+            calls[(inst.label, _name, inst.k)] += 1
+            return _fn(inst, seed=seed, lam=lam)
+        monkeypatch.setitem(alg.ALGORITHMS, name, counted)
+    config = {
+        "datasets": [{"name": "gaussian", "params": {"n": 40, "seed": 2}, "label": "g"},
+                     {"name": "line-beta", "params": {"k": 3}, "label": "lb"}],
+        "algorithms": ["line", "greedy", "kmeans"],
+        "k_range": [2, 3],
+        "seed": 0,
+    }
+    outdir = tmp_path / "out"
+    rows = run_bench(config, str(outdir))
+    assert len(rows) == 12
+    assert sum(calls.values()) == 12 and set(calls.values()) == {1}
+    assert sum(r.error is not None for r in rows) == 4  # line on g, greedy on lb
+
+    # The plots are those of rendering each cell's clustering afresh.
+    datasets = [("g", gen_gaussian(n=40, seed=2)), ("lb", gen_line_beta_lb(3))]
+    want = {}
+    for label, inst in datasets:
+        for name in config["algorithms"]:
+            for k in (2, 3):
+                inst_k = inst.with_k(k)
+                try:
+                    y = run_algorithm(inst_k, name, seed=derive_seed(0, label, name, k))
+                except ParameterError:
+                    continue
+                path = tmp_path / f"{label}_{name}_k{k}.svg"
+                render_clusters_svg(inst_k, y, str(path))
+                want[path.name] = path.read_text()
+    got = {p.name: p.read_text() for p in (outdir / "plots").glob("*.svg")}
+    assert len(got) == 8 and got == want

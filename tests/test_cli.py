@@ -104,3 +104,46 @@ def test_cluster_kmeans_on_gaussian(tmp_path):
                  "--seed", "5", "--out", y_path]) == 0
     centers = json.loads(open(y_path).read())["centers"]
     assert len(centers) == 4
+
+
+def test_cluster_refined_kmedians_matches_library(tmp_path):
+    from coreclust.algorithms import alg_refined
+    from coreclust.instance import load_clustering, load_instance
+    inst_path = str(tmp_path / "g.json")
+    y_path = str(tmp_path / "y.json")
+    main(["generate", "--name", "gaussian", "--params", "n=60,seed=4,k=5",
+          "--out", inst_path])
+    assert main(["cluster", "--instance", inst_path, "--alg", "refined-kmedians",
+                 "--out", y_path]) == 0
+    inst = load_instance(inst_path)
+    want, _ = alg_refined(inst, "kmedians")
+    assert load_clustering(y_path, inst.space).centers == want.centers
+    assert want.centers != alg_refined(inst, "kmeans")[0].centers  # the name matters
+
+
+def test_cluster_lambda_on_line_matches_library(tmp_path):
+    from coreclust.algorithms import alg_line
+    from coreclust.instance import load_clustering, load_instance
+    inst_path = str(tmp_path / "lb.json")
+    y_path = str(tmp_path / "y.json")
+    main(["generate", "--name", "line-beta", "--params", "k=3", "--out", inst_path])
+    assert main(["cluster", "--instance", inst_path, "--alg", "line",
+                 "--lambda", "2", "--out", y_path]) == 0
+    inst = load_instance(inst_path)
+    assert load_clustering(y_path, inst.space).centers == alg_line(inst, 2).centers
+    assert alg_line(inst, 2).centers != alg_line(inst, 4).centers  # the flag matters
+
+
+def test_cluster_lambda_zero_exit_2(tmp_path):
+    inst_path = str(tmp_path / "lb.json")
+    main(["generate", "--name", "line-beta", "--params", "k=3", "--out", inst_path])
+    assert main(["cluster", "--instance", inst_path, "--alg", "line",
+                 "--lambda", "0", "--out", str(tmp_path / "y.json")]) == 2
+
+
+def test_cluster_obj_flag_removed_exit_1(tmp_path):
+    inst_path = str(tmp_path / "g.json")
+    main(["generate", "--name", "gaussian", "--params", "n=30,seed=1,k=3",
+          "--out", inst_path])
+    assert main(["cluster", "--instance", inst_path, "--alg", "refined",
+                 "--obj", "kmedians", "--out", str(tmp_path / "y.json")]) == 1
