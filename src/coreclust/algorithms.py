@@ -92,7 +92,8 @@ def alg_tree(inst: Instance, lam: int, root: int = 0) -> Clustering:
     Working from the deepest level upward (vertex ids ascending within a
     level), open a center at any vertex whose surviving subtree still holds
     at least lambda agents, then prune that subtree; stop opening once k
-    centers exist.  Removing the chosen centers from the tree leaves every
+    centers exist; each visited vertex passes its surviving count up to its
+    parent.  Removing the chosen centers from the tree leaves every
     component with at most lambda-1 agents whenever the k-cap never bound.
     """
     if inst.space.kind != TREE:
@@ -103,43 +104,19 @@ def alg_tree(inst: Instance, lam: int, root: int = 0) -> Clustering:
         raise ParameterError(f"root {root} out of range [0, {nv})")
     lam = _check_lambda(lam, inst.n)
 
-    own = np.zeros(nv, dtype=np.int64)
-    for a in inst.agents:
-        own[int(a)] += 1
-
-    adj = tree.adjacency()
-    depth = np.full(nv, -1, dtype=np.int64)
-    parent = np.full(nv, -1, dtype=np.int64)
-    children: List[List[int]] = [[] for _ in range(nv)]
-    depth[root] = 0
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v, _ in adj[u]:
-            if depth[v] < 0:
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                children[u].append(v)
-                queue.append(v)
-
-    levels: dict = {}
-    for v in range(nv):
-        levels.setdefault(int(depth[v]), []).append(v)
-
-    counts = np.zeros(nv, dtype=np.int64)
+    preorder, parent, _ = tree.rooted(root)
+    depth = [0] * nv
+    for v in preorder[1:]:
+        depth[v] = depth[parent[v]] + 1
+    counts = np.bincount(np.asarray(inst.agents, dtype=np.int64), minlength=nv).tolist()
     centers: List[int] = []
-    for level in sorted(levels, reverse=True):
-        for x in sorted(levels[level]):
-            counts[x] = own[x] + sum(counts[c] for c in children[x])
-            if counts[x] >= lam and len(centers) < inst.k:
-                centers.append(x)
-                counts[x] = 0
-    out: List[PointRef] = list(centers)
-    if len(out) < inst.k:
-        out = greedy_fill(inst, out)
-    return Clustering(centers=out)
+    for x in sorted(range(nv), key=lambda v: (-depth[v], v)):
+        if counts[x] >= lam and len(centers) < inst.k:
+            centers.append(x)
+            counts[x] = 0
+        if parent[x] >= 0:
+            counts[parent[x]] += counts[x]
+    return Clustering(centers=greedy_fill(inst, centers))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +286,7 @@ def alg_greedy_ball(inst: Instance, fill: bool = True
 
     centers: List[PointRef] = [cands[j] for j in opened]
     if fill and len(centers) < k:
-        centers = greedy_fill(inst, centers)
+        centers = _fill(cands, np.ascontiguousarray(DT.T), min_d, centers, k)
     return Clustering(centers=centers), GreedyTrace(events=events)
 
 
@@ -342,22 +319,17 @@ def alg_mst_cover(inst: Instance) -> Clustering:
     in_tree[0] = True
     key = D[0].copy()
     parent = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
     key[0] = 0.0
     for _ in range(n - 1):
         masked = np.where(in_tree, math.inf, key)
         v = int(np.argmin(masked))
         in_tree[v] = True
+        depth[v] = depth[parent[v]] + 1
         improve = (~in_tree) & (D[v] < key)
         key[improve] = D[v][improve]
         parent[improve] = v
 
-    depth = np.zeros(n, dtype=np.int64)
-    for v in range(1, n):
-        d, u = 0, v
-        while u != 0:
-            u = int(parent[u])
-            d += 1
-        depth[v] = d
     even = np.flatnonzero(depth % 2 == 0)
     odd = np.flatnonzero(depth % 2 == 1)
     cover = odd if len(odd) <= len(even) else even
@@ -365,9 +337,7 @@ def alg_mst_cover(inst: Instance) -> Clustering:
     if len(centers) > k:
         raise ParameterError(
             f"cover of size {len(centers)} exceeds k={k}; preconditions violated")
-    if len(centers) < k:
-        centers = greedy_fill(inst, centers)
-    return Clustering(centers=centers)
+    return Clustering(centers=greedy_fill(inst, centers))
 
 
 def _hashable(p: PointRef):
@@ -495,8 +465,7 @@ def optimal_total_distance(inst: Instance) -> Clustering:
 def greedy_fill(inst: Instance, centers: List[PointRef]) -> List[PointRef]:
     """Top a partial center list up to k: each step adds the candidate that
     most reduces total agent distance, ties to the lowest candidate index."""
-    need = inst.k - len(centers)
-    if need <= 0:
+    if inst.k <= len(centers):
         return list(centers)
     cands = inst.candidate_list()
     D = cross_distances(inst.space, inst.agents, cands)
@@ -504,12 +473,18 @@ def greedy_fill(inst: Instance, centers: List[PointRef]) -> List[PointRef]:
         cur = cross_distances(inst.space, inst.agents, centers).min(axis=1)
     else:
         cur = np.full(inst.n, math.inf)
+    return _fill(cands, D, cur, centers, inst.k)
+
+
+def _fill(cands: List[PointRef], D: np.ndarray, cur: np.ndarray,
+          centers: List[PointRef], k: int) -> List[PointRef]:
+    """greedy_fill from D (agents x cands, C-order); cur[i] = d(agent i, centers)."""
     # Candidates at one location share a group: the first index holding it.
     first: dict = {}
     group = np.array([first.setdefault(_hashable(c), j) for j, c in enumerate(cands)])
     taken = np.zeros(len(cands), dtype=bool)
     taken[[first[h] for h in map(_hashable, centers) if h in first]] = True
-    picks = _forward_select(D, cur, need, ~taken[group], group)
+    picks = _forward_select(D, cur, k - len(centers), ~taken[group], group)
     return list(centers) + [cands[j] for j in picks]
 
 

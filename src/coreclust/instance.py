@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .metric import (EUCLIDEAN, LINE, MATRIX, TREE, PointRef, Space,
-                     TreeGraph)
+                     TreeGraph, _vertex_id)
 
 # Sentinel for "centers may be placed anywhere on the real line".
 CONTINUOUS_LINE = "line"
@@ -132,9 +132,7 @@ def _point_from_json(space: Space, obj) -> PointRef:
         return tuple(float(x) for x in obj)
     if space.kind == LINE:
         return float(obj)
-    if isinstance(obj, float) and not obj.is_integer():
-        raise ValidationError(f"vertex index must be an integer, got {obj!r}")
-    return int(obj)
+    return _vertex_id(obj)
 
 
 def _space_to_json(space: Space) -> dict:
@@ -255,7 +253,10 @@ def load_tree_edges(path: str, k: int, agents_at_vertices: bool = True,
             parts = line.split()
             if len(parts) != 3:
                 raise ValidationError(f"edge line must be 'u v w', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            try:
+                edges.append(tuple(float(x) for x in parts))
+            except ValueError:
+                raise ValidationError(f"edge line must hold numbers, got {line!r}") from None
     space = Space.from_edges(edges)
     nv = space.tree.vertex_count
     if agents is None:

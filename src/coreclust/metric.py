@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ValidationError
 
 TOL = 1e-9
+_INT = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
 _ROWS = 256  # agent rows per block of the Euclidean distance build
 
 LINE = "line"
@@ -66,24 +68,14 @@ class TreeGraph:
                 f"tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}"
             )
         for u, v, w in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValidationError(f"edge ({u},{v}) out of range for {n} vertices")
-            if not (math.isfinite(w) and w >= 0):
+            if not (isinstance(u, _INT) and isinstance(v, _INT)
+                    and 0 <= u < n and 0 <= v < n):
                 raise ValidationError(
-                    f"edge weight {w} on ({u},{v}) must be finite and nonnegative")
-        seen = [False] * n
-        adj = self.adjacency()
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        if count != n:
+                    f"edge ({u!r},{v!r}) needs integer vertex ids in [0, {n})")
+            if not (isinstance(w, _REAL) and math.isfinite(w) and w >= 0):
+                raise ValidationError(
+                    f"edge weight {w!r} on ({u},{v}) must be a finite nonnegative number")
+        if len(self.rooted(0)[0]) != n:
             raise ValidationError("tree edges do not connect all vertices")
 
     def adjacency(self) -> list:
@@ -92,6 +84,32 @@ class TreeGraph:
             adj[u].append((v, float(w)))
             adj[v].append((u, float(w)))
         return adj
+
+    def rooted(self, root: int) -> Tuple[List[int], List[int], List[float]]:
+        """The vertices reachable from root in depth-first preorder, so that
+        each subtree is one contiguous run, with each vertex's parent (-1 at
+        the root) and the length of the edge up to it."""
+        adj = self.adjacency()
+        parent = [-1] * self.vertex_count
+        weight_up = [0.0] * self.vertex_count
+        preorder: List[int] = []
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            preorder.append(u)
+            for v, w in adj[u]:
+                if parent[v] < 0 and v != root:
+                    parent[v] = u
+                    weight_up[v] = w
+                    stack.append(v)
+        return preorder, parent, weight_up
+
+
+def _vertex_id(obj) -> int:
+    """A vertex index read from outside: an integer, or a float holding one."""
+    if not (isinstance(obj, _INT) or isinstance(obj, float) and obj.is_integer()):
+        raise ValidationError(f"vertex index must be an integer, got {obj!r}")
+    return int(obj)
 
 
 @dataclass(frozen=True)
@@ -158,7 +176,8 @@ class Space:
 
     @staticmethod
     def from_edges(edges: Iterable[Tuple[int, int, float]]) -> "Space":
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in edges)
+        edges = tuple((_vertex_id(u), _vertex_id(v), float(w) if isinstance(w, _REAL) else w)
+                      for u, v, w in edges)
         n = max(max(u, v) for u, v, _ in edges) + 1 if edges else 1
         return Space(TREE, tree=TreeGraph(n, edges))
 
@@ -240,8 +259,11 @@ def distance_to_set(space: Space, i: PointRef, centers: Sequence[PointRef]) -> f
 def apsp(space: Space) -> np.ndarray:
     """All-pairs shortest-path matrix for a tree or matrix space.
 
-    Tree distances are accumulated vertex-by-vertex along the unique paths
-    from each source; the result matches distance() exactly.
+    Tree distances fill a matrix in the preorder of rooted(0), where each
+    subtree sub(u) is a range: bottom-up, d(sub(u), parent) = d(sub(u), u)
+    + w; then top-down, d(outside sub(u), u) = d(outside, parent) + w.  So
+    each d(x, y) grows one edge at a time from x outward, as a walk from x
+    adds them, and matches distance() exactly.
     """
     if space.kind == MATRIX:
         return space.matrix
@@ -250,20 +272,21 @@ def apsp(space: Space) -> np.ndarray:
     if space._apsp is not None:
         return space._apsp
     n = space.tree.vertex_count
-    adj = space.tree.adjacency()
-    out = np.zeros((n, n), dtype=float)
-    for src in range(n):
-        dist = out[src]
-        visited = [False] * n
-        visited[src] = True
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            for v, w in adj[u]:
-                if not visited[v]:
-                    visited[v] = True
-                    dist[v] = dist[u] + w
-                    stack.append(v)
+    preorder, parent, weight_up = space.tree.rooted(0)
+    pos = np.argsort(preorder).tolist()  # preorder position of each vertex
+    size = [1] * n
+    for u in reversed(preorder[1:]):
+        size[parent[u]] += size[u]
+    # (start, end, parent position, edge length) of each non-root subtree range.
+    ranges = [(pos[u], pos[u] + size[u], pos[parent[u]], weight_up[u])
+              for u in preorder[1:]]
+    D = np.zeros((n, n))  # indexed by preorder position
+    for a, b, p, w in reversed(ranges):
+        D[a:b, p] = D[a:b, a] + w
+    for a, b, p, w in ranges:
+        D[:a, a] = D[:a, p] + w
+        D[b:, a] = D[b:, p] + w
+    out = D[np.ix_(pos, pos)]
     out.flags.writeable = False
     space._apsp = out
     return out

@@ -64,6 +64,20 @@ def test_audit_center_outside_space_exit_2(tmp_path, capsys, centers):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edge", [[1, 2.7, 1.0], [1, 2, "x"]])
+def test_cluster_bad_tree_edge_exit_2(tmp_path, capsys, edge):
+    inst_path = str(tmp_path / "tree.json")
+    with open(inst_path, "w") as fh:
+        json.dump({"space": {"kind": "tree", "edges": [[0, 1, 1.0], edge]},
+                   "agents": [0, 1, 2], "candidates": [0, 1, 2], "k": 1}, fh)
+    capsys.readouterr()
+    code = main(["cluster", "--instance", inst_path, "--alg", "tree",
+                 "--out", str(tmp_path / "y.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_unknown_flag_exit_1():
     assert main(["cluster", "--bogus"]) == 1
 

@@ -6,6 +6,9 @@ allowed candidates from a set of hashed locations at every step, and
 medoid_opt seeded with an unmasked argmin loop.  Instances draw agents,
 candidates and partial center lists from a few locations, so duplicate
 locations (and 1 / 1.0 on the line) are common on every space kind.
+
+alg_greedy_ball tops its natural centers up from the table it already
+holds; the last two tests hold that fill to greedy_fill of those centers.
 """
 import math
 
@@ -13,7 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coreclust.algorithms import greedy_fill
+from coreclust.algorithms import alg_greedy_ball, greedy_fill
 from coreclust.baselines import OBJECTIVES, _swap_improve, medoid_opt, point_costs
 from coreclust.instance import CONTINUOUS_LINE, Instance
 from coreclust.metric import Space, cross_distances
@@ -126,7 +129,7 @@ def fill_cases(draw):
 _LINE = Space.line()
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(fill_cases())
 # 1 and 1.0 name one location: after 1.0 is taken, no more picks are allowed
 @example((Instance(space=_LINE, agents=[0.0, 1.0, 1.0, 5.0], candidates=[1, 1.0, 0.0],
@@ -139,7 +142,7 @@ def test_greedy_fill_matches_hashed_set_loop(case):
     assert _typed(greedy_fill(inst, centers)) == _typed(_ref_greedy_fill(inst, centers))
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(fill_cases(), st.data())
 def test_medoid_opt_matches_seeding_loop(case, data):
     inst, _ = case
@@ -149,3 +152,32 @@ def test_medoid_opt_matches_seeding_loop(case, data):
     obj = data.draw(st.sampled_from(OBJECTIVES))
     assert (_typed(medoid_opt(inst, subset, k_i, obj))
             == _typed(_ref_medoid_opt(inst, subset, k_i, obj)))
+
+
+@st.composite
+def ball_cases(draw):
+    """An instance with finite candidates, drawn as for the fill cases."""
+    kind, space, locs, pool = draw(_space_and_pool().filter(lambda c: c[0] != "continuous"))
+    agents = draw(st.lists(st.sampled_from(locs), min_size=1, max_size=10))
+    cands = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    k = draw(st.integers(1, len(agents)))
+    return Instance(space=space, agents=agents, candidates=cands, k=k)
+
+
+@settings(max_examples=300)
+@given(ball_cases())
+def test_greedy_ball_fill_is_greedy_fill_of_natural_centers(inst):
+    natural = alg_greedy_ball(inst, fill=False)[0].centers
+    assert (_typed(alg_greedy_ball(inst)[0].centers)
+            == _typed(greedy_fill(inst, natural)))
+
+
+def test_greedy_ball_fill_sums_like_greedy_fill_at_scale():
+    # Past a few agents, a candidate's column sums in a different order when
+    # the table is not agent-major in memory, and the fill may pick another.
+    rng = np.random.default_rng(11)
+    agents = [tuple(p) for p in rng.normal(0.0, 1.0, size=(400, 2)).tolist()]
+    inst = Instance(space=Space.euclidean(2), agents=agents, candidates=agents, k=120)
+    natural = alg_greedy_ball(inst, fill=False)[0].centers
+    assert len(natural) < inst.k
+    assert alg_greedy_ball(inst)[0].centers == greedy_fill(inst, natural)

@@ -9,9 +9,10 @@ from coreclust.errors import ValidationError
 from coreclust.instance import (CONTINUOUS_LINE, Clustering, Instance,
                                 gen_broom_tree, gen_clique, gen_gaussian,
                                 gen_k4, gen_kmedians_bad, gen_line_alpha_lb,
-                                gen_line_beta_lb, load_clustering,
-                                load_instance, load_matrix_csv,
-                                load_points_csv, load_tree_edges,
+                                gen_line_beta_lb, instance_from_json,
+                                load_clustering, load_instance,
+                                load_matrix_csv, load_points_csv,
+                                load_tree_edges,
                                 save_clustering, save_instance)
 from coreclust.metric import Space, apsp, validate_metric
 
@@ -55,6 +56,37 @@ def test_fractional_vertex_in_clustering_json_rejected(tmp_path):
     path.write_text('{"centers": [0, 0.5]}')
     with pytest.raises(ValidationError):
         load_clustering(str(path), gen_k4().space)
+
+
+def _tree_json(edges, agents=(0, 1, 2)):
+    return {"space": {"kind": "tree", "edges": edges}, "agents": list(agents),
+            "candidates": [0, 1, 2], "k": 1}
+
+
+@pytest.mark.parametrize("obj", [
+    _tree_json([[0, 1, 1.0], [1, 2.7, 1.0]]),
+    _tree_json([[0, 1, 1.0], [1, 2, "x"]]),
+    _tree_json([[0, 1, 1.0], [1, 2, None]]),
+    _tree_json([[0, 1, 1.0], [1, 2, 1.0]], agents=(0, "1")),
+])
+def test_bad_tree_instance_json_rejected(obj):
+    with pytest.raises(ValidationError):
+        instance_from_json(obj)
+
+
+@pytest.mark.parametrize("text", ["0 1 1.0\n1 2.7 1.0\n", "0 1 1.0\n1 2 x\n",
+                                  "0 1 1.0\nb 2 1.0\n"])
+def test_load_tree_edges_rejects_bad_vertex_or_weight(tmp_path, text):
+    path = tmp_path / "tree.txt"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        load_tree_edges(str(path), k=1)
+
+
+def test_load_tree_edges_takes_integral_float_ids(tmp_path):
+    path = tmp_path / "tree.txt"
+    path.write_text("0 1.0 1\n1 2 2.5\n")
+    assert load_tree_edges(str(path), k=1).space.tree.edges == ((0, 1, 1.0), (1, 2, 2.5))
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,38 @@ def test_tree_edge_out_of_range_rejected():
         TreeGraph(3, ((0, 1, 1.0), (1, 5, 1.0)))
 
 
+@pytest.mark.parametrize("edges", [
+    ((0, 1.5, 1.0), (0, 2, 1.0)),  # non-integer vertex id
+    ((0, 1.0, 1.0), (0, 2, 1.0)),  # a float id, even an integral one
+    ((0, "1", 1.0), (0, 2, 1.0)),
+    ((0, 1, "1.0"), (0, 2, 1.0)),  # a weight that is not a number
+    ((0, 1, None), (0, 2, 1.0)),
+])
+def test_tree_graph_rejects_bad_vertex_or_weight(edges):
+    with pytest.raises(ValidationError):
+        TreeGraph(3, edges)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1.5, 1.0), (0, 2, 2.0)],  # once truncated to edge (0, 1)
+    [(0, math.inf, 1.0), (0, 2, 2.0)],
+    [(0, "1", 1.0), (0, 2, 2.0)],
+    [(0, 1, "x"), (0, 2, 2.0)],
+    [(0, 1, "1.5"), (0, 2, 2.0)],
+    [(0, 1, None), (0, 2, 2.0)],
+])
+def test_from_edges_rejects_bad_vertex_or_weight(edges):
+    with pytest.raises(ValidationError):
+        Space.from_edges(edges)
+
+
+def test_from_edges_takes_integral_float_ids():
+    sp = Space.from_edges([(0.0, 1.0, 1), (2.0, 0, np.float32(2.0))])
+    assert sp.tree.edges == ((0, 1, 1.0), (2, 0, 2.0))
+    assert all(type(u) is int and type(v) is int and type(w) is float
+               for u, v, w in sp.tree.edges)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nonfinite_matrix_entry_rejected(bad):
     mat = np.ones((3, 3)) - np.eye(3)
